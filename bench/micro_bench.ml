@@ -14,11 +14,13 @@ let mpeg_clustering = Workloads.Mpeg.clustering mpeg
 let sld = Workloads.Atr.sld ()
 let sld_clustering = Workloads.Atr.sld_clustering sld
 let sld_config = Morphosys.Config.m1 ~fb_set_size:8192
+let mpeg_ctx = Sched.Sched_ctx.make mpeg mpeg_clustering
+let sld_ctx = Sched.Sched_ctx.make sld sld_clustering
 
 let cds_schedule () =
-  match Cds.Complete_data_scheduler.schedule config mpeg mpeg_clustering with
+  match Cds.Complete_data_scheduler.run_full mpeg_ctx config with
   | Ok r -> r.Cds.Complete_data_scheduler.schedule
-  | Error e -> failwith e
+  | Error e -> failwith (Diag.to_string e)
 
 let prebuilt = cds_schedule ()
 
@@ -38,20 +40,25 @@ let tests =
            let app = Workloads.Synthetic.figure5 () in
            let clustering = Workloads.Synthetic.figure5_clustering app in
            let cfg = Morphosys.Config.m1 ~fb_set_size:512 in
-           match Cds.Complete_data_scheduler.schedule cfg app clustering with
+           match
+             Cds.Complete_data_scheduler.run_full
+               (Sched.Sched_ctx.make app clustering)
+               cfg
+           with
            | Ok r ->
              ignore
                (Cds.Allocation_algorithm.run cfg app clustering
                   ~rf:r.Cds.Complete_data_scheduler.rf
                   ~retention:r.Cds.Complete_data_scheduler.retention ~round:0)
-           | Error e -> failwith e));
+           | Error e -> failwith (Diag.to_string e)));
     (* hot components *)
     Test.make ~name:"component/ds_formula"
       (Staged.stage (fun () ->
-           ignore (Sched.Data_scheduler.footprints mpeg mpeg_clustering)));
+           ignore
+             (Sched.Sched_ctx.of_analysis (Sched.Sched_ctx.analysis mpeg_ctx))));
     Test.make ~name:"component/retention"
       (Staged.stage (fun () ->
-           ignore (Cds.Retention.choose sld_config sld sld_clustering ~rf:1)));
+           ignore (Cds.Retention.choose_ctx sld_config sld_ctx ~rf:1)));
     Test.make ~name:"component/simulator"
       (Staged.stage (fun () -> ignore (Msim.Executor.run config prebuilt)));
     Test.make ~name:"component/validator"

@@ -1,8 +1,9 @@
 (* Scaling bench: end-to-end Complete Data Scheduler runs on synthetic
    applications of growing size, indexed path (Sched_ctx + incremental
-   retention) vs the retained list-based reference. Both paths are asserted
-   to produce identical results before any number is reported, so the
-   speedup column never trades correctness for time. Results also land in
+   retention) vs the list-based reference in the test oracle
+   ([Oracle.Complete_data_scheduler.schedule_reference]). Both paths are
+   asserted to produce identical results before any number is reported, so
+   the speedup column never trades correctness for time. Results also land in
    BENCH_scaling.json for tracking across commits. *)
 
 let sizes_full = [ (20, 40); (50, 100); (100, 200) ]
@@ -47,13 +48,16 @@ let measure ~repeats (kernels, data) =
   let app = Workloads.Random_app.large ~kernels ~data ~seed:1 in
   let clustering = Workloads.Random_app.pairs_clustering app in
   let reference () =
-    Cds.Complete_data_scheduler.schedule_reference config app clustering
+    Oracle.Complete_data_scheduler.schedule_reference config app clustering
   in
   let indexed () =
     (* the end-to-end indexed path: context construction included *)
-    Cds.Complete_data_scheduler.schedule config app clustering
+    Cds.Complete_data_scheduler.run_full
+      (Sched.Sched_ctx.make app clustering)
+      config
   in
-  check_equal ~kernels ~data (reference ()) (indexed ());
+  check_equal ~kernels ~data (reference ())
+    (Result.map_error Diag.to_string (indexed ()));
   let reference_s = best_of repeats reference in
   let indexed_s = best_of repeats indexed in
   {

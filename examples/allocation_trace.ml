@@ -12,8 +12,12 @@ let () =
   let app = Workloads.Synthetic.figure5 () in
   let clustering = Workloads.Synthetic.figure5_clustering app in
   let config = Morphosys.Config.m1 ~fb_set_size:512 in
-  match Cds.Complete_data_scheduler.schedule config app clustering with
-  | Error e -> failwith e
+  match
+    Cds.Complete_data_scheduler.run_full
+      (Sched.Sched_ctx.make app clustering)
+      config
+  with
+  | Error e -> failwith (Diag.to_string e)
   | Ok r ->
     Format.printf "RF = %d (as in the figure)@." r.Cds.Complete_data_scheduler.rf;
     Format.printf "%a@." Cds.Retention.pp_decision

@@ -9,59 +9,16 @@ type result = {
   data_words_avoided_per_iteration : int;
 }
 
-(* An object can have one retention candidate per FB set (the same shared
-   datum may be retained in both sets), so the skip test quantifies over all
-   retained candidates for the object. *)
-let skipped retained (d : Data.t) ~cluster_id ~skip =
-  List.exists
-    (fun c -> (Sharing.data c).Data.id = d.Data.id && skip c ~cluster_id)
-    retained
-
-let selectors_of ~profile_of (decision : Retention.decision) =
-  let load_objects (c : Cluster.t) ~round =
-    let is_retained (d : Data.t) =
-      List.exists
-        (fun cand -> (Sharing.data cand).Data.id = d.Data.id)
-        decision.retained
-    in
-    List.filter
-      (fun (d : Data.t) ->
-        (* a retained invariant table is loaded exactly once, by its first
-           consumer cluster on round 0 *)
-        if d.Data.invariant && is_retained d && round > 0 then false
-        else
-          not
-            (skipped decision.retained d ~cluster_id:c.Cluster.id
-               ~skip:Sharing.skips_load))
-      (profile_of c).IE.external_inputs
+(* The objects a cluster loads and stores under a retention decision. The
+   retained candidates are bucketed by data id up front — an object can
+   have one candidate per FB set, since the same shared datum may be
+   retained in both sets — so each per-object retention test is
+   O(bucket). *)
+let selectors_ctx (analysis : Kernel_ir.Analysis.t)
+    (decision : Retention.decision) =
+  let profile_of (c : Cluster.t) =
+    Kernel_ir.Analysis.profile analysis c.Cluster.id
   in
-  let store_objects (c : Cluster.t) ~round:_ =
-    List.filter
-      (fun d ->
-        not
-          (skipped decision.retained d ~cluster_id:c.Cluster.id
-             ~skip:Sharing.skips_store))
-      (profile_of c).IE.outliving
-  in
-  { Sched.Step_builder.load_objects; store_objects }
-
-let generators_of ~profile_of decision =
-  Sched.Xfer_gen.generators_of_selectors (selectors_of ~profile_of decision)
-
-let generators app clustering decision =
-  let profiles = IE.profiles app clustering in
-  generators_of
-    ~profile_of:(fun (c : Cluster.t) -> List.nth profiles c.Cluster.id)
-    decision
-
-let ctx_profile_of (analysis : Kernel_ir.Analysis.t) (c : Cluster.t) =
-  Kernel_ir.Analysis.profile analysis c.Cluster.id
-
-(* Same object choice as [selectors_of], but the retained candidates are
-   bucketed by data id up front, so the per-object retention tests in the
-   selector hot path are O(bucket) — at most one candidate per FB set —
-   instead of a scan of the whole retained list. *)
-let selectors_indexed ~profile_of (decision : Retention.decision) =
   let by_id = Hashtbl.create 16 in
   List.iter
     (fun (cand : Sharing.t) ->
@@ -78,6 +35,8 @@ let selectors_indexed ~profile_of (decision : Retention.decision) =
   let load_objects (c : Cluster.t) ~round =
     List.filter
       (fun (d : Data.t) ->
+        (* a retained invariant table is loaded exactly once, by its first
+           consumer cluster on round 0 *)
         if d.Data.invariant && round > 0 && bucket d <> [] then false
         else
           not (skipped d ~cluster_id:c.Cluster.id ~skip:Sharing.skips_load))
@@ -91,72 +50,9 @@ let selectors_indexed ~profile_of (decision : Retention.decision) =
   in
   { Sched.Step_builder.load_objects; store_objects }
 
-let selectors_ctx analysis decision =
-  selectors_indexed ~profile_of:(ctx_profile_of analysis) decision
-
 let generators_ctx analysis decision =
   Sched.Xfer_gen.generators_of_selectors (selectors_ctx analysis decision)
 
-let schedule_reference ?(retention = true) ?(cross_set = false)
-    (config : Morphosys.Config.t) app clustering =
-  match Sched.Context_scheduler.plan config app clustering with
-  | Error e -> Error ("cds: " ^ e)
-  | Ok ctx_plan -> (
-    (* The CDS allocator packs the whole set (paper §5: minimal memory, no
-       fragmentation), so its RF bound is computed against the full FB
-       size; among the feasible factors the scheduler keeps the fastest
-       (retention is recomputed per candidate — pinned copies scale with
-       RF). *)
-    match
-      Sched.Reuse_factor.common_split ~fb_set_size:config.fb_set_size
-        ~footprints:(Sched.Data_scheduler.footprints_split app clustering)
-        ~iterations:app.Kernel_ir.Application.iterations
-    with
-    | 0 ->
-      Error
-        (Printf.sprintf
-           "cds: some cluster's DS(C) exceeds the FB set of %dw"
-           config.fb_set_size)
-    | rf_max ->
-      let scheduler_name = if cross_set then "cds-xset" else "cds" in
-      let candidate rf =
-        let decision =
-          if retention then
-            Retention.choose ~cross_set config app clustering ~rf
-          else Retention.none
-        in
-        let schedule =
-          Sched.Step_builder.build ~cross_set config app clustering ~rf
-            ~ctx_plan
-            ~generators:(generators app clustering decision)
-            ~scheduler:scheduler_name
-        in
-        (schedule, decision)
-      in
-      let chosen, decision =
-        (* keep the fastest; ties prefer the larger RF *)
-        List.fold_left
-          (fun acc rf ->
-            let (schedule, _) as cand = candidate rf in
-            let cycles = Sched.Schedule_cost.estimate config schedule in
-            match acc with
-            | Some (_, best_cycles) when best_cycles < cycles -> acc
-            | _ -> Some (cand, cycles))
-          None
-          (List.init rf_max (fun i -> i + 1))
-        |> Option.get |> fst
-      in
-      Ok
-        {
-          schedule = chosen;
-          retention = decision;
-          rf = chosen.Sched.Schedule.rf;
-          data_words_avoided_per_iteration =
-            decision.Retention.avoided_words_per_iteration;
-        })
-
-(* The single implementation: every other entry point — including the
-   registry-facing [run] — is a thin shim over [run_full]. *)
 let run_full ?(retention = true) ?(cross_set = false)
     (ctx : Sched.Sched_ctx.t) (config : Morphosys.Config.t) =
   match Engine.Faults.hit "sched" with
@@ -228,21 +124,6 @@ let run_full ?(retention = true) ?(cross_set = false)
 
 let run ctx config = Result.map (fun r -> r.schedule) (run_full ctx config)
 
-(* compat shims *)
-let schedule_ctx_diag ?retention ?cross_set config ctx =
-  run_full ?retention ?cross_set ctx config
-
-let schedule_ctx ?retention ?cross_set config ctx =
-  Result.map_error Diag.to_string (run_full ?retention ?cross_set ctx config)
-
-let schedule_diag ?retention ?cross_set config app clustering =
-  run_full ?retention ?cross_set (Sched.Sched_ctx.make app clustering) config
-
-let schedule ?retention ?cross_set config app clustering =
-  Result.map_error Diag.to_string
-    (run_full ?retention ?cross_set (Sched.Sched_ctx.make app clustering)
-       config)
-
 (* Warning-severity diagnostics for retention candidates the TF test turned
    down — surfaced by the pipeline's verbose mode, never fatal. *)
 let retention_warnings (decision : Retention.decision) =
@@ -253,8 +134,6 @@ let retention_warnings (decision : Retention.decision) =
         Diag.Retention_rejected "candidate %S not retained: %s" d.Data.name
         reason)
     decision.Retention.rejected
-
-let retention_diags decision = retention_warnings decision
 
 let scheduler : Sched.Scheduler_intf.t =
   (module struct

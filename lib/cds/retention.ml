@@ -21,16 +21,6 @@ let none =
     avoided_transfers_per_iteration = 0;
   }
 
-let pinned_for ~retained ~cluster =
-  List.filter_map
-    (fun (c : Sharing.t) ->
-      if
-        c.Sharing.set = cluster.Cluster.fb_set
-        && Sharing.pins_cluster c ~cluster_id:cluster.Cluster.id
-      then Some (Sharing.data c)
-      else None)
-    retained
-
 type ranking = [ `Tf | `Fifo | `Smallest_first | `Largest_first ]
 
 let order ranking ~tds candidates =
@@ -58,79 +48,6 @@ let effective_avoided ~rf ~iterations (candidate : Sharing.t) =
     let loads_without = List.length candidate.Sharing.beneficiaries * rounds in
     d.Data.size * (loads_without - 1) / iterations
   else candidate.Sharing.avoided_words
-
-let choose ?(cross_set = false) ?(ranking = `Tf)
-    (config : Morphosys.Config.t) app clustering ~rf =
-  if rf < 1 then invalid_arg "Retention.choose: rf must be >= 1";
-  let iterations = app.Kernel_ir.Application.iterations in
-  let profiles = IE.profiles app clustering in
-  let profile_of id = List.nth profiles id in
-  let tds = Time_factor.tds app in
-  let ranked =
-    match ranking with
-    | `Tf ->
-      (* rank by traffic actually avoided at this rf (reduces to the TF
-         order when no invariant data is involved) *)
-      List.stable_sort
-        (fun a b ->
-          compare
-            (effective_avoided ~rf ~iterations b)
-            (effective_avoided ~rf ~iterations a))
-        (Time_factor.rank ~tds (Sharing.candidates ~cross_set app clustering))
-    | ranking ->
-      order ranking ~tds (Sharing.candidates ~cross_set app clustering)
-  in
-  let fits retained (candidate : Sharing.t) =
-    (* Re-check every same-set cluster the candidate occupies space during
-       (its window, or every cluster for an invariant table) with the
-       candidate tentatively added to the already-accepted set. *)
-    let tentative = candidate :: retained in
-    let lo, hi = candidate.Sharing.window in
-    let invariant = (Sharing.data candidate).Data.invariant in
-    let affected =
-      List.filter
-        (fun (c : Cluster.t) ->
-          c.Cluster.fb_set = candidate.Sharing.set
-          && (invariant || (lo <= c.Cluster.id && c.Cluster.id <= hi)))
-        clustering
-    in
-    List.find_map
-      (fun (c : Cluster.t) ->
-        let pinned = pinned_for ~retained:tentative ~cluster:c in
-        let per_iteration, constant =
-          Sched.Ds_formula.split ~pinned (profile_of c.Cluster.id)
-        in
-        if (rf * per_iteration) + constant > config.fb_set_size then
-          Some
-            (Printf.sprintf
-               "cluster %d would need %d x %dw + %dw = %dw > FB set %dw"
-               c.Cluster.id rf per_iteration constant
-               ((rf * per_iteration) + constant)
-               config.fb_set_size)
-        else None)
-      affected
-  in
-  let retained, rejected =
-    List.fold_left
-      (fun (retained, rejected) candidate ->
-        match fits retained candidate with
-        | None ->
-          Log.debug (fun m -> m "retain %a" Sharing.pp candidate);
-          (candidate :: retained, rejected)
-        | Some reason ->
-          Log.debug (fun m -> m "reject %a: %s" Sharing.pp candidate reason);
-          (retained, (candidate, reason) :: rejected))
-      ([], []) ranked
-  in
-  let retained = List.rev retained in
-  {
-    retained;
-    rejected = List.rev rejected;
-    avoided_words_per_iteration =
-      Msutil.Listx.sum_by (effective_avoided ~rf ~iterations) retained;
-    avoided_transfers_per_iteration =
-      Msutil.Listx.sum_by (fun c -> c.Sharing.avoided_transfers) retained;
-  }
 
 (* Per-cluster incremental DS-split state. A pinned object is always a
    cluster *input* over the affected window — never one of the cluster's
@@ -237,8 +154,8 @@ let current_split st =
   (peak st ~delta_pos:(-1) ~delta:0 + st.reg_words, st.const_words)
 
 (* (per_iteration, constant) if [d] were pinned on top of the current
-   state — the same integers [Ds_formula.split] yields for the extended
-   pinned list. *)
+   state — the same integers [Ds_formula.split_fast] yields for the
+   extended pinned list. *)
 let tentative_split st (d : Data.t) =
   let delta_pos, delta = strip_of st d in
   if d.Data.invariant then
@@ -265,15 +182,13 @@ let commit_pin st (d : Data.t) =
   end
   else st.reg_words <- st.reg_words + d.Data.size
 
-(* Indexed variant of [choose]. Equivalent decision (same retained /
-   rejected lists, same reason strings), but the feasibility check runs on
-   the incremental per-cluster state above instead of re-deriving every
-   affected cluster's pinned set and DS split from scratch per candidate.
-   Rejected candidates never touch the state, so cached splits stay
-   exact. *)
+(* The greedy pass. Each candidate's feasibility check runs on the
+   incremental per-cluster state above instead of re-deriving every
+   affected cluster's pinned set and DS split from scratch. Rejected
+   candidates never touch the state, so cached splits stay exact. *)
 let choose_ctx ?(cross_set = false) ?(ranking = `Tf)
     (config : Morphosys.Config.t) (ctx : Sched.Sched_ctx.t) ~rf =
-  if rf < 1 then invalid_arg "Retention.choose: rf must be >= 1";
+  if rf < 1 then invalid_arg "Retention.choose_ctx: rf must be >= 1";
   let analysis = Sched.Sched_ctx.analysis ctx in
   let app = Sched.Sched_ctx.app ctx in
   let iterations = app.Kernel_ir.Application.iterations in
@@ -295,9 +210,9 @@ let choose_ctx ?(cross_set = false) ?(ranking = `Tf)
     Array.init n (fun id ->
         cluster_state_of (Kernel_ir.Analysis.profile analysis id))
   in
-  (* Same-set clusters the candidate occupies space during, ascending id —
-     the same order [choose]'s filter over the clustering walks them, so a
-     rejection reports the same first-failing cluster. *)
+  (* Same-set clusters the candidate occupies space during (its window, or
+     every cluster for an invariant table), in ascending id, so a rejection
+     reports the first failing cluster. *)
   let affected_ids (candidate : Sharing.t) =
     let lo, hi = candidate.Sharing.window in
     let invariant = (Sharing.data candidate).Data.invariant in

@@ -11,12 +11,6 @@ type decision = {
   avoided_transfers_per_iteration : int;
 }
 
-val pinned_for :
-  retained:Sharing.t list -> cluster:Kernel_ir.Cluster.t -> Kernel_ir.Data.t list
-(** The objects occupying the cluster's set for its whole execution because
-    of retention (excludes a shared result at its own producer, which the
-    cluster footprint already charges as rout). *)
-
 type ranking =
   [ `Tf  (** the paper's time-factor order (default) *)
   | `Fifo  (** candidates in data-object order — no prioritisation *)
@@ -26,18 +20,6 @@ type ranking =
     greedy pass keeps a prefix of the order, so the order decides which
     transfers are avoided. *)
 
-val choose :
-  ?cross_set:bool ->
-  ?ranking:ranking ->
-  Morphosys.Config.t ->
-  Kernel_ir.Application.t ->
-  Kernel_ir.Cluster.clustering ->
-  rf:int ->
-  decision
-(** @raise Invalid_argument if [rf < 1]. This is the reference list-based
-    implementation: it rebuilds every affected cluster's pinned set and DS
-    split from scratch for each candidate. *)
-
 val choose_ctx :
   ?cross_set:bool ->
   ?ranking:ranking ->
@@ -45,11 +27,12 @@ val choose_ctx :
   Sched.Sched_ctx.t ->
   rf:int ->
   decision
-(** Same decision as {!choose} (identical retained/rejected lists and
-    rejection strings), computed incrementally over a precomputed
-    scheduling context: each cluster keeps the sweep arrays of the DS
-    closed form, pins update them in place, and a candidate's feasibility
-    is an O(cluster kernels) query instead of a from-scratch profile walk.
+(** The retention decision at reuse factor [rf] (default ranking [`Tf]),
+    computed incrementally over a precomputed scheduling context: each
+    cluster keeps the sweep arrays of the DS closed form, pins update them
+    in place, and a candidate's feasibility is an O(cluster kernels) query
+    instead of a from-scratch profile walk. A rejected candidate carries
+    the first same-set cluster, by id, that it would overflow.
     @raise Invalid_argument if [rf < 1]. *)
 
 val none : decision

@@ -135,16 +135,17 @@ let tf_ordering () =
   let app = Workloads.Synthetic.retention_stress () in
   let clustering = Workloads.Synthetic.retention_stress_clustering app in
   let header = [ "FB set"; "tf"; "fifo"; "smallest"; "largest" ] in
+  let ctx = Sched.Sched_ctx.make app clustering in
   let avoided fb ranking =
     let config = Morphosys.Config.m1 ~fb_set_size:fb in
-    let footprints = Sched.Data_scheduler.footprints app clustering in
     let rf =
-      Sched.Reuse_factor.common ~fb_set_size:fb ~footprints
+      Sched.Reuse_factor.common ~fb_set_size:fb
+        ~footprints:(Sched.Sched_ctx.footprints_list ctx)
         ~iterations:app.Kernel_ir.Application.iterations
     in
     if rf < 1 then "-"
     else
-      let d = Cds.Retention.choose ~ranking config app clustering ~rf in
+      let d = Cds.Retention.choose_ctx ~ranking config ctx ~rf in
       string_of_int d.Cds.Retention.avoided_words_per_iteration
   in
   let rows =

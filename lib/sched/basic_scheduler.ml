@@ -1,28 +1,3 @@
-module IE = Kernel_ir.Info_extractor
-
-let footprints app clustering =
-  IE.profiles app clustering |> List.map Ds_formula.footprint_basic
-
-let schedule_reference config app clustering =
-  match Context_scheduler.plan config app clustering with
-  | Error e -> Error ("basic: " ^ e)
-  | Ok ctx_plan -> (
-    let fps = footprints app clustering in
-    match
-      List.find_opt (fun fp -> fp > config.Morphosys.Config.fb_set_size) fps
-    with
-    | Some fp ->
-      Error
-        (Printf.sprintf
-           "basic: cluster footprint %dw exceeds FB set of %dw (no \
-            replacement)"
-           fp config.Morphosys.Config.fb_set_size)
-    | None ->
-      Ok
-        (Step_builder.build config app clustering ~rf:1 ~ctx_plan
-           ~generators:(Xfer_gen.store_everything app clustering)
-           ~scheduler:"basic"))
-
 (* Index of the first footprint that does not fit the FB set, if any. *)
 let overflow_cluster config fps =
   let rec go i = function
@@ -33,8 +8,6 @@ let overflow_cluster config fps =
   in
   go 0 fps
 
-(* The single implementation: every public entry point below is a thin
-   shim over [run]. *)
 let run (ctx : Sched_ctx.t) (config : Morphosys.Config.t) =
   match Engine.Faults.hit "sched" with
   | exception Engine.Faults.Injected site ->
@@ -58,14 +31,6 @@ let run (ctx : Sched_ctx.t) (config : Morphosys.Config.t) =
              ~generators:
                (Xfer_gen.store_everything_ctx (Sched_ctx.analysis ctx))
              ~scheduler:"basic")))
-
-(* compat shims *)
-let schedule_ctx_diag config ctx = run ctx config
-let schedule_ctx config ctx = Result.map_error Diag.to_string (run ctx config)
-let schedule_diag config app clustering = run (Sched_ctx.make app clustering) config
-
-let schedule config app clustering =
-  Result.map_error Diag.to_string (run (Sched_ctx.make app clustering) config)
 
 let scheduler : Scheduler_intf.t =
   (module struct

@@ -64,12 +64,8 @@ let plan_sizes (config : Morphosys.Config.t) sizes =
         reserve = rotation_reserve sizes unpinned;
       }
 
-let plan_app (config : Morphosys.Config.t) app clustering =
-  plan_sizes config
-    (List.map (fun c -> (c.Cluster.id, context_words app c)) clustering)
-
 (* The profile already carries each cluster's context-word sum, so the
-   indexed path plans without touching the application again. *)
+   plan never touches the application again. *)
 let plan_of_analysis (config : Morphosys.Config.t)
     (analysis : Kernel_ir.Analysis.t) =
   plan_sizes config
@@ -80,19 +76,7 @@ let plan_of_analysis (config : Morphosys.Config.t)
              p.Kernel_ir.Info_extractor.contexts))
           analysis.Kernel_ir.Analysis.profiles))
 
-(* compat shims over the two canonical planners *)
-let plan_diag config app clustering = plan_app config app clustering
-
-let plan config app clustering =
-  Result.map_error Diag.to_string (plan_app config app clustering)
-
-let plan_ctx_diag config analysis = plan_of_analysis config analysis
-
-let plan_ctx config analysis =
-  Result.map_error Diag.to_string (plan_of_analysis config analysis)
-
-let load_words_for_round plan ~app ~clustering ~cluster ~round =
-  ignore clustering;
+let load_words_for_round plan ~app ~cluster ~round =
   let words = context_words app cluster in
   if round = 0 then words
   else if List.mem cluster.Cluster.id plan.pinned then 0

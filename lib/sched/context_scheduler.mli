@@ -14,50 +14,19 @@ type plan = {
   reserve : int;  (** CM words kept free for unpinned rotation *)
 }
 
-val plan_app :
-  Morphosys.Config.t ->
-  Kernel_ir.Application.t ->
-  Kernel_ir.Cluster.clustering ->
-  (plan, Diag.t) result
-(** Canonical list-based planner. [Error] is a [Cm_overflow] diagnostic
-    naming the offending cluster when some single cluster's contexts
-    exceed the CM capacity — no schedule can run that clustering. *)
-
 val plan_of_analysis :
   Morphosys.Config.t -> Kernel_ir.Analysis.t -> (plan, Diag.t) result
-(** Canonical indexed planner: the per-cluster context words come from the
-    analysis context's profiles instead of being re-summed from the
-    application. This is the entry point the schedulers use. *)
-
-val plan :
-  Morphosys.Config.t ->
-  Kernel_ir.Application.t ->
-  Kernel_ir.Cluster.clustering ->
-  (plan, string) result
-(** Compat shim: {!plan_app} with [Diag.to_string] errors. *)
-
-val plan_diag :
-  Morphosys.Config.t ->
-  Kernel_ir.Application.t ->
-  Kernel_ir.Cluster.clustering ->
-  (plan, Diag.t) result
-(** Compat shim for {!plan_app}. *)
-
-val plan_ctx :
-  Morphosys.Config.t -> Kernel_ir.Analysis.t -> (plan, string) result
-(** Compat shim: {!plan_of_analysis} with [Diag.to_string] errors. *)
-
-val plan_ctx_diag :
-  Morphosys.Config.t -> Kernel_ir.Analysis.t -> (plan, Diag.t) result
-(** Compat shim for {!plan_of_analysis}. *)
+(** The planner: the per-cluster context words come from the analysis
+    context's profiles. [Error] is a [Cm_overflow] diagnostic naming the
+    offending cluster when some single cluster's contexts exceed the CM
+    capacity — no schedule can run that clustering. *)
 
 val context_words :
   Kernel_ir.Application.t -> Kernel_ir.Cluster.t -> int
 (** Context words of a cluster's kernels. *)
 
 val load_words_for_round :
-  plan -> app:Kernel_ir.Application.t ->
-  clustering:Kernel_ir.Cluster.clustering -> cluster:Kernel_ir.Cluster.t ->
+  plan -> app:Kernel_ir.Application.t -> cluster:Kernel_ir.Cluster.t ->
   round:int -> int
 (** Context words the DMA must move for [cluster] at the given round: its
     full context set on round 0, afterwards only if it is not pinned. *)

@@ -24,86 +24,17 @@ val run_with :
   Sched_ctx.t ->
   Morphosys.Config.t ->
   (Schedule.t, Diag.t) result
-(** The single implementation every other entry point shims over.
+(** Schedules at the given allocation efficiency, keeping the fastest
+    feasible reuse factor ({!Schedule_cost}); ties prefer the larger RF.
     [Error] is a [No_feasible_rf] or [Cm_overflow] diagnostic when even
     RF = 1 does not fit (some [DS(C)] exceeds the packable fraction of
     the FB set) or the context memory cannot hold some cluster.
     @raise Invalid_argument if [alloc_efficiency] is outside (0, 1]. *)
 
 val run : Sched_ctx.t -> Morphosys.Config.t -> (Schedule.t, Diag.t) result
-(** The canonical entry point ({!Scheduler_intf.S.run}): {!run_with} at
+(** The registry entry point ({!Scheduler_intf.S.run}): {!run_with} at
     the default allocation efficiency. *)
 
 val scheduler : Scheduler_intf.t
 (** The Data Scheduler as a first-class value, registered in
     {!Scheduler_registry} under ["ds"]. *)
-
-val schedule :
-  ?alloc_efficiency:float ->
-  Morphosys.Config.t ->
-  Kernel_ir.Application.t ->
-  Kernel_ir.Cluster.clustering ->
-  (Schedule.t, string) result
-(** Compat shim: {!run_with} on a fresh context, [Diag.to_string] errors.
-    Callers scheduling the same [(app, clustering)] repeatedly should
-    build one {!Sched_ctx} and use {!run_with}. *)
-
-val schedule_ctx :
-  ?alloc_efficiency:float ->
-  Morphosys.Config.t ->
-  Sched_ctx.t ->
-  (Schedule.t, string) result
-(** Compat shim: {!run_with} with [Diag.to_string] errors. *)
-
-val schedule_diag :
-  ?alloc_efficiency:float ->
-  Morphosys.Config.t ->
-  Kernel_ir.Application.t ->
-  Kernel_ir.Cluster.clustering ->
-  (Schedule.t, Diag.t) result
-(** Compat shim: {!run_with} on a fresh context. *)
-
-val schedule_ctx_diag :
-  ?alloc_efficiency:float ->
-  Morphosys.Config.t ->
-  Sched_ctx.t ->
-  (Schedule.t, Diag.t) result
-(** Compat shim: {!run_with} with the historical argument order. *)
-
-val schedule_reference :
-  ?alloc_efficiency:float ->
-  Morphosys.Config.t ->
-  Kernel_ir.Application.t ->
-  Kernel_ir.Cluster.clustering ->
-  (Schedule.t, string) result
-(** The original list-based implementation, retained verbatim as the
-    equivalence oracle for the indexed path (and as the baseline the
-    scaling bench times against). Produces schedules byte-identical to
-    {!schedule}. *)
-
-val footprints :
-  Kernel_ir.Application.t -> Kernel_ir.Cluster.clustering -> int list
-(** Per-cluster replacement footprints [DS(C)] (one iteration, invariant
-    tables included). *)
-
-val footprints_split :
-  Kernel_ir.Application.t -> Kernel_ir.Cluster.clustering -> (int * int) list
-(** Per-cluster [(per_iteration, constant)] footprints
-    ({!Ds_formula.split}) — the form the reuse-factor bound uses. *)
-
-val reuse_factor :
-  ?alloc_efficiency:float ->
-  Morphosys.Config.t ->
-  Kernel_ir.Application.t ->
-  Kernel_ir.Cluster.clustering ->
-  int
-(** The largest common RF the frame buffer allows the Data Scheduler
-    (0 = infeasible). The scheduler then picks the {e fastest} RF up to this
-    bound ({!best_by_rf}). *)
-
-val best_by_rf :
-  Morphosys.Config.t -> rf_max:int -> build:(int -> Schedule.t) -> Schedule.t
-(** [best_by_rf config ~rf_max ~build] builds a schedule for every RF in
-    [1..rf_max] and returns the one with the smallest estimated execution
-    time ({!Schedule_cost}); ties prefer the larger RF.
-    @raise Invalid_argument if [rf_max < 1]. *)

@@ -1,95 +1,17 @@
 module IE = Kernel_ir.Info_extractor
 module Data = Kernel_ir.Data
 
-let is_pinned pinned (d : Data.t) =
-  List.exists (fun (p : Data.t) -> p.id = d.id) pinned
-
-let strip_pinned pinned (p : IE.kernel_profile) =
-  {
-    p with
-    IE.d_objects = List.filter (fun d -> not (is_pinned pinned d)) p.IE.d_objects;
-  }
-
 let pinned_words pinned =
   Msutil.Listx.sum_by (fun (d : Data.t) -> d.size) pinned
 
-let closed_form ?(pinned = []) (profile : IE.cluster_profile) =
-  let kps = List.map (strip_pinned pinned) profile.IE.kernel_profiles in
-  let indexed = List.mapi (fun pos p -> (pos, p)) kps in
-  let peak_at i =
-    let d_part =
-      Msutil.Listx.sum_by
-        (fun (pos, p) -> if pos >= i then IE.d_words p else 0)
-        indexed
-    in
-    let rout_part =
-      Msutil.Listx.sum_by
-        (fun (pos, p) -> if pos <= i then IE.rout_words p else 0)
-        indexed
-    in
-    let inter_part =
-      Msutil.Listx.sum_by
-        (fun (pos, p) ->
-          if pos > i then 0
-          else
-            Msutil.Listx.sum_by
-              (fun ((d : Data.t), t) ->
-                (* [t] is a kernel id; compare through its position *)
-                let t_pos =
-                  match
-                    Msutil.Listx.index_of
-                      (fun k -> k = t)
-                      profile.IE.cluster.Kernel_ir.Cluster.kernels
-                  with
-                  | Some pos -> pos
-                  | None -> assert false (* t is in the cluster by construction *)
-                in
-                if t_pos >= i then d.size else 0)
-              p.IE.intermediate_objects)
-        indexed
-    in
-    d_part + rout_part + inter_part
-  in
-  let n = List.length kps in
-  let peaks = List.init n peak_at in
-  Msutil.Listx.max_by (fun x -> x) peaks + pinned_words pinned
-
-let by_simulation ?(pinned = []) (profile : IE.cluster_profile) =
-  let kps = List.map (strip_pinned pinned) profile.IE.kernel_profiles in
-  (* Residency as a running total: start with every cluster input loaded,
-     add outputs at each kernel, release after last use. *)
-  let initial = Msutil.Listx.sum_by IE.d_words kps in
-  let n = List.length kps in
-  let kp_at pos = List.nth kps pos in
-  let live = ref initial in
-  let peak = ref initial in
-  for i = 0 to n - 1 do
-    let p = kp_at i in
-    (* kernel i produces its results *)
-    live := !live + IE.rout_words p + IE.intermediate_words p;
-    if !live > !peak then peak := !live;
-    (* inputs whose last consumer is kernel i die *)
-    live := !live - IE.d_words p;
-    (* intermediates whose last consumer is kernel i die *)
-    let died =
-      Msutil.Listx.sum_by
-        (fun kp ->
-          Msutil.Listx.sum_by
-            (fun ((d : Data.t), t) ->
-              if t = p.IE.kernel then d.size else 0)
-            kp.IE.intermediate_objects)
-        kps
-    in
-    live := !live - died
-  done;
-  !peak + pinned_words pinned
-
-(* Linear-sweep evaluation of the same maximum: [peak_at i] differs from
-   [peak_at (i-1)] only by suffix/prefix sums and by the intermediates whose
-   [producer..last-consumer] interval opens or closes at [i], so one pass
-   with difference arrays visits every object once instead of once per
-   kernel position. Produces the same integer as [closed_form] (the
-   equivalence suite checks this on random applications). *)
+(* DS(C) is the maximum over kernel positions [i] of a suffix sum of
+   inputs, a prefix sum of results and the intermediates whose
+   [producer..last-consumer] interval crosses [i]. [peak_at i] differs from
+   [peak_at (i-1)] only by those sums and by the intervals that open or
+   close at [i], so one pass with difference arrays visits every object
+   once instead of once per kernel position. The equivalence suite checks
+   it against the quadratic closed form and a symbolic execution of the
+   kernel sequence on random applications. *)
 let closed_form_fast ?(pinned = []) (profile : IE.cluster_profile) =
   let kps = profile.IE.kernel_profiles in
   let n = List.length kps in
@@ -138,7 +60,7 @@ let closed_form_fast ?(pinned = []) (profile : IE.cluster_profile) =
     !best + pinned_words pinned
   end
 
-let split_with ~closed_form ~pinned (profile : IE.cluster_profile) =
+let split_fast ?(pinned = []) (profile : IE.cluster_profile) =
   let invariant_inputs =
     List.filter (fun (d : Data.t) -> d.Data.invariant) profile.IE.external_inputs
   in
@@ -155,17 +77,10 @@ let split_with ~closed_form ~pinned (profile : IE.cluster_profile) =
   in
   let constant_words = pinned_words constants in
   let per_iteration =
-    closed_form ~pinned:(constants @ regular_pinned) profile - constant_words
+    closed_form_fast ~pinned:(constants @ regular_pinned) profile
+    - constant_words
   in
   (per_iteration, constant_words)
-
-let split ?(pinned = []) profile =
-  split_with ~closed_form:(fun ~pinned p -> closed_form ~pinned p) ~pinned
-    profile
-
-let split_fast ?(pinned = []) profile =
-  split_with ~closed_form:(fun ~pinned p -> closed_form_fast ~pinned p) ~pinned
-    profile
 
 let footprint_basic (profile : IE.cluster_profile) =
   let inputs =

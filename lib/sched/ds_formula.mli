@@ -3,38 +3,24 @@
     and dead intermediate results are replaced in place by new results.
 
     With loop fission the cluster stores the data of RF consecutive
-    iterations, so the space constraint is [rf * ds_c <= fb_set_size].
+    iterations, so the space constraint is [rf * ds_c <= fb_set_size]. *)
 
-    Two independent implementations are provided and property-tested against
-    each other: the paper's closed-form maximum and a symbolic execution of
-    the kernel sequence. *)
-
-val closed_form : ?pinned:Kernel_ir.Data.t list -> Kernel_ir.Info_extractor.cluster_profile -> int
+val closed_form_fast :
+  ?pinned:Kernel_ir.Data.t list ->
+  Kernel_ir.Info_extractor.cluster_profile ->
+  int
 (** The paper's formula
     [DS(C) = max_i ( sum_{j>=i} d_j + sum_{j<=i} rout_j
                      + sum_{j<=i} sum_{t>=i} r_jt )]
-    where [i], [j], [t] range over the cluster's kernel positions.
+    where [i], [j], [t] range over the cluster's kernel positions, computed
+    in one linear sweep with difference arrays.
 
     [pinned] lists objects the Complete Data Scheduler retains in the FB for
     the whole cluster window: they are charged for the full duration and
     excluded from the positional [d_j] terms (retention must not double
     count an object that is both retained and consumed here). *)
 
-val by_simulation : ?pinned:Kernel_ir.Data.t list -> Kernel_ir.Info_extractor.cluster_profile -> int
-(** Ground truth: walks the kernel sequence, loading all cluster inputs up
-    front, adding each kernel's outputs when it executes and releasing
-    objects after their last in-cluster use; reports the peak residency. *)
-
-val closed_form_fast :
-  ?pinned:Kernel_ir.Data.t list ->
-  Kernel_ir.Info_extractor.cluster_profile ->
-  int
-(** Same value as {!closed_form}, computed in one linear sweep with
-    difference arrays instead of one quadratic pass per kernel position —
-    the form the indexed scheduler paths use. Property-tested equal to
-    {!closed_form} and {!by_simulation}. *)
-
-val split :
+val split_fast :
   ?pinned:Kernel_ir.Data.t list ->
   Kernel_ir.Info_extractor.cluster_profile ->
   int * int
@@ -42,13 +28,7 @@ val split :
     own invariant inputs plus any invariant pinned objects) are charged once
     regardless of the reuse factor, everything else per iteration; the space
     constraint is [rf * per_iteration + constant <= fb_set_size]. Without
-    invariant data, [split p = (closed_form p, 0)]. *)
-
-val split_fast :
-  ?pinned:Kernel_ir.Data.t list ->
-  Kernel_ir.Info_extractor.cluster_profile ->
-  int * int
-(** Same pair as {!split}, evaluated through {!closed_form_fast}. *)
+    invariant data, [split_fast p = (closed_form_fast p, 0)]. *)
 
 val footprint_basic : Kernel_ir.Info_extractor.cluster_profile -> int
 (** The Basic Scheduler's footprint: no replacement — all inputs and all

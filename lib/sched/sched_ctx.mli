@@ -8,10 +8,10 @@
 type t = {
   analysis : Kernel_ir.Analysis.t;
   splits : (int * int) array;
-      (** by cluster id: {!Ds_formula.split} with no pinned objects — the
+      (** by cluster id: {!Ds_formula.split_fast} with no pinned objects — the
           [(per_iteration, constant)] pair the reuse-factor bound uses *)
   footprints : int array;
-      (** by cluster id: {!Ds_formula.closed_form}, no pinned objects *)
+      (** by cluster id: {!Ds_formula.closed_form_fast}, no pinned objects *)
   basic_footprints : int array;
       (** by cluster id: {!Ds_formula.footprint_basic} (no replacement) *)
 }
@@ -31,7 +31,7 @@ val profile : t -> int -> Kernel_ir.Info_extractor.cluster_profile
 (** By cluster id. @raise Invalid_argument on an unknown id. *)
 
 val splits_list : t -> (int * int) list
-(** Equal to [Data_scheduler.footprints_split app clustering]. *)
+(** The [splits] array in cluster-id order. *)
 
 val footprints_list : t -> int list
 val basic_footprints_list : t -> int list

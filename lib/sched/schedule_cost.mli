@@ -1,10 +1,15 @@
-(** Cheap execution-time estimate of a schedule — the scheduler-side twin of
-    the simulator's timing rule (each step lasts [max(compute, dma)]; a
-    pure-DMA step lasts its serial transfer cost). The Data and Complete
-    Data Schedulers use it to choose the reuse factor that actually
-    minimises time: on imbalanced clusters the largest memory-allowed RF can
+(** The timing rule of a built schedule: each step lasts
+    [max(compute, dma)] (a pure-DMA step lasts its serial transfer cost).
+    The simulator ([Msim.Executor]) times every step with {!step_cycles},
+    and the Data and Complete Data Schedulers rank reuse factors by the
+    same cycles ({!Step_builder.estimate} computes them without building
+    the schedule): on imbalanced clusters the largest memory-allowed RF can
     pessimise the pipeline by batching transfers the computation can no
-    longer hide. A test asserts this estimate equals the simulator's
-    total-cycle count on every schedule. *)
+    longer hide. *)
+
+val step_cycles : Morphosys.Config.t -> Schedule.step -> int
+(** [max (Dma.total_cost config step.dma) compute_cycles]. *)
 
 val estimate : Morphosys.Config.t -> Schedule.t -> int
+(** Sum of {!step_cycles} over the schedule's steps — the simulator's
+    total-cycle count. *)

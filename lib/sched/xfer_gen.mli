@@ -3,28 +3,14 @@
     iteration, every outliving result is stored for every iteration. The
     Complete Data Scheduler refines these by skipping retained objects. *)
 
-val plain :
-  Kernel_ir.Application.t ->
-  Kernel_ir.Cluster.clustering ->
-  Step_builder.generators
+val plain_ctx : Kernel_ir.Analysis.t -> Step_builder.generators
 (** The Data Scheduler's traffic: load cluster inputs, store only the
     results that outlive the cluster (intermediates die on chip). *)
 
-val store_everything :
-  Kernel_ir.Application.t ->
-  Kernel_ir.Cluster.clustering ->
-  Step_builder.generators
+val store_everything_ctx : Kernel_ir.Analysis.t -> Step_builder.generators
 (** The Basic Scheduler's traffic: same loads, but every produced result —
     intermediates included — is written back to external memory (no
     liveness analysis, the "no data reuse" baseline). *)
-
-val plain_ctx : Kernel_ir.Analysis.t -> Step_builder.generators
-(** {!plain} over a precomputed analysis context: profiles come from the
-    context's O(1) by-id array instead of a fresh
-    {!Kernel_ir.Info_extractor.profiles} list walk. *)
-
-val store_everything_ctx : Kernel_ir.Analysis.t -> Step_builder.generators
-(** {!store_everything} over a precomputed analysis context. *)
 
 val plain_selectors_ctx : Kernel_ir.Analysis.t -> Step_builder.selectors
 (** The object selection behind {!plain_ctx}, for

@@ -24,7 +24,7 @@ let run_timed config (schedule : Schedule.t) =
           | Some c -> c.Schedule.compute_cycles
           | None -> 0
         in
-        let duration = max dma_cost compute_cost in
+        let duration = Sched.Schedule_cost.step_cycles config step in
         let start_cycle = !clock in
         clock := !clock + duration;
         compute_total := !compute_total + compute_cost;

@@ -1,9 +1,10 @@
 (** Replays a {!Sched.Schedule.t} against the machine timing model.
 
-    Each step advances time by [max(compute, dma)] when a computation and
-    its overlapped transfers proceed in parallel (double buffering), or by
-    the serial DMA cost for pure transfer steps. The single DMA channel
-    services a step's transfer batch serially. *)
+    Each step advances time by {!Sched.Schedule_cost.step_cycles}:
+    [max(compute, dma)] when a computation and its overlapped transfers
+    proceed in parallel (double buffering), or the serial DMA cost for pure
+    transfer steps. The single DMA channel services a step's transfer batch
+    serially. *)
 
 type timed_step = {
   step : Sched.Schedule.step;

@@ -6,8 +6,12 @@ module AA = Cds.Allocation_algorithm
 module IE = Kernel_ir.Info_extractor
 
 let run_alloc config app clustering =
-  match Cds.Complete_data_scheduler.schedule config app clustering with
-  | Error e -> Alcotest.fail e
+  match
+    Cds.Complete_data_scheduler.run_full
+      (Sched.Sched_ctx.make app clustering)
+      config
+  with
+  | Error e -> Alcotest.fail (Diag.to_string e)
   | Ok r ->
     ( r,
       AA.run config app clustering ~rf:r.Cds.Complete_data_scheduler.rf
@@ -66,9 +70,9 @@ let test_peaks_bounded_by_formula () =
     (fun (cid, peak) ->
       let p = List.nth profiles cid in
       let pinned =
-        Cds.Retention.pinned_for ~retained ~cluster:p.IE.cluster
+        Oracle.Retention.pinned_for ~retained ~cluster:p.IE.cluster
       in
-      let bound = rf * Sched.Ds_formula.closed_form ~pinned p in
+      let bound = rf * Oracle.Ds_formula.closed_form ~pinned p in
       Alcotest.(check bool)
         (Printf.sprintf "cluster %d peak %d <= bound %d" cid peak bound)
         true (peak <= bound))
@@ -78,8 +82,12 @@ let test_capture_filter () =
   let app = Fixtures.same_set () in
   let clustering = Fixtures.same_set_clustering app in
   let config = Fixtures.default_config in
-  match Cds.Complete_data_scheduler.schedule config app clustering with
-  | Error e -> Alcotest.fail e
+  match
+    Cds.Complete_data_scheduler.run_full
+      (Sched.Sched_ctx.make app clustering)
+      config
+  with
+  | Error e -> Alcotest.fail (Diag.to_string e)
   | Ok r ->
     let result =
       AA.run
@@ -117,7 +125,11 @@ let prop_allocator_succeeds =
   QCheck.Test.make ~name:"allocator places every object" ~count:75
     Workloads.Random_app.arb_app_with_clustering (fun (app, clustering) ->
       let config = Fixtures.big_config in
-      match Cds.Complete_data_scheduler.schedule config app clustering with
+      match
+        Cds.Complete_data_scheduler.run_full
+          (Sched.Sched_ctx.make app clustering)
+          config
+      with
       | Error _ -> false
       | Ok r ->
         let result =

@@ -120,9 +120,9 @@ let prop_splits (app, clustering) =
       List.for_all
         (fun pinned ->
           Sched.Ds_formula.closed_form_fast ~pinned p
-          = Sched.Ds_formula.closed_form ~pinned p
+          = Oracle.Ds_formula.closed_form ~pinned p
           && Sched.Ds_formula.split_fast ~pinned p
-             = Sched.Ds_formula.split ~pinned p
+             = Oracle.Ds_formula.split ~pinned p
           || QCheck.Test.fail_reportf "split mismatch, cluster %d"
                p.IE.cluster.Cluster.id)
         pinned_sets)
@@ -130,7 +130,16 @@ let prop_splits (app, clustering) =
 
 (* The incremental retention pass must reproduce the reference decision —
    retained and rejected lists, rejection strings, avoided totals — for
-   both set disciplines across memory pressures and reuse factors. *)
+   both set disciplines and every candidate ranking across memory
+   pressures and reuse factors. *)
+let rankings =
+  [
+    ("tf", `Tf);
+    ("fifo", `Fifo);
+    ("smallest", `Smallest_first);
+    ("largest", `Largest_first);
+  ]
+
 let prop_retention (app, clustering) =
   let ctx = Sched.Sched_ctx.make app clustering in
   List.for_all
@@ -139,19 +148,25 @@ let prop_retention (app, clustering) =
       List.for_all
         (fun cross_set ->
           List.for_all
-            (fun rf ->
-              let reference =
-                Cds.Retention.choose ~cross_set config app clustering ~rf
-              in
-              let indexed = Cds.Retention.choose_ctx ~cross_set config ctx ~rf in
-              if reference = indexed then true
-              else
-                QCheck.Test.fail_reportf
-                  "retention differs (fb=%d cross_set=%b rf=%d):@.ref %a@.got \
-                   %a"
-                  fb cross_set rf Cds.Retention.pp_decision reference
-                  Cds.Retention.pp_decision indexed)
-            [ 1; 2; 3 ])
+            (fun (ranking_name, ranking) ->
+              List.for_all
+                (fun rf ->
+                  let reference =
+                    Oracle.Retention.choose ~cross_set ~ranking config app
+                      clustering ~rf
+                  in
+                  let indexed =
+                    Cds.Retention.choose_ctx ~cross_set ~ranking config ctx ~rf
+                  in
+                  if reference = indexed then true
+                  else
+                    QCheck.Test.fail_reportf
+                      "retention differs (fb=%d cross_set=%b ranking=%s \
+                       rf=%d):@.ref %a@.got %a"
+                      fb cross_set ranking_name rf Cds.Retention.pp_decision
+                      reference Cds.Retention.pp_decision indexed)
+                [ 1; 2; 3 ])
+            rankings)
         [ false; true ])
     [ 1024; 4096 ]
 
@@ -159,23 +174,24 @@ let prop_retention (app, clustering) =
    schedule (or the very error string) of the reference paths. *)
 let prop_schedulers (app, clustering) =
   let config = Morphosys.Config.m1 ~fb_set_size:4096 in
+  let ctx = Sched.Sched_ctx.make app clustering in
   let ok name b =
     if b then true else QCheck.Test.fail_reportf "%s schedule differs" name
   in
+  let str r = Result.map_error Diag.to_string r in
   ok "basic"
-    (Sched.Basic_scheduler.schedule config app clustering
-    = Sched.Basic_scheduler.schedule_reference config app clustering)
+    (str (Sched.Basic_scheduler.run ctx config)
+    = Oracle.Basic_scheduler.schedule_reference config app clustering)
   && ok "ds"
-       (Sched.Data_scheduler.schedule config app clustering
-       = Sched.Data_scheduler.schedule_reference config app clustering)
+       (str (Sched.Data_scheduler.run ctx config)
+       = Oracle.Data_scheduler.schedule_reference config app clustering)
   && List.for_all
        (fun cross_set ->
          ok
            (if cross_set then "cds-xset" else "cds")
-           (Cds.Complete_data_scheduler.schedule ~cross_set config app
-              clustering
-           = Cds.Complete_data_scheduler.schedule_reference ~cross_set config
-               app clustering))
+           (str (Cds.Complete_data_scheduler.run_full ~cross_set ctx config)
+           = Oracle.Complete_data_scheduler.schedule_reference ~cross_set
+               config app clustering))
        [ false; true ]
 
 (* The estimate used by the RF searches must equal the cost of the
@@ -183,7 +199,7 @@ let prop_schedulers (app, clustering) =
 let prop_estimate (app, clustering) =
   let config = Morphosys.Config.m1 ~fb_set_size:4096 in
   let a = Analysis.make app clustering in
-  match Sched.Context_scheduler.plan config app clustering with
+  match Sched.Context_scheduler.plan_of_analysis config a with
   | Error _ -> true
   | Ok ctx_plan ->
     let shapes =

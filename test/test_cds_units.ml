@@ -95,17 +95,22 @@ let test_tf_ranking () =
 let test_retention_accepts_when_roomy () =
   let app = Fixtures.same_set () in
   let clustering = Fixtures.same_set_clustering app in
-  let d = Retention.choose Fixtures.default_config app clustering ~rf:1 in
+  let ctx = Sched.Sched_ctx.make app clustering in
+  let d = Retention.choose_ctx Fixtures.default_config ctx ~rf:1 in
   Alcotest.(check int) "both retained" 2 (List.length d.Retention.retained);
   Alcotest.(check int) "avoided sum" 100 d.Retention.avoided_words_per_iteration;
   Alcotest.(check int) "avoided transfers" 3
     d.Retention.avoided_transfers_per_iteration;
   let c0 = Kernel_ir.Cluster.find clustering 0 in
-  let pinned0 = Retention.pinned_for ~retained:d.Retention.retained ~cluster:c0 in
+  let pinned0 =
+    Oracle.Retention.pinned_for ~retained:d.Retention.retained ~cluster:c0
+  in
   Alcotest.(check (list string)) "cluster 0 pins sh only" [ "sh" ]
     (List.map (fun (x : Data.t) -> x.Data.name) pinned0);
   let c2 = Kernel_ir.Cluster.find clustering 2 in
-  let pinned2 = Retention.pinned_for ~retained:d.Retention.retained ~cluster:c2 in
+  let pinned2 =
+    Oracle.Retention.pinned_for ~retained:d.Retention.retained ~cluster:c2
+  in
   Alcotest.(check (list string)) "cluster 2 pins both" [ "rshare"; "sh" ]
     (List.sort compare (List.map (fun (x : Data.t) -> x.Data.name) pinned2))
 
@@ -140,7 +145,8 @@ let test_retention_rejects_when_tight () =
      base schedule at RF=1 but cannot afford pinning the 50-word shared
      datum through the peak *)
   let config = Morphosys.Config.m1 ~fb_set_size:310 in
-  let d = Retention.choose config app clustering ~rf:1 in
+  let ctx = Sched.Sched_ctx.make app clustering in
+  let d = Retention.choose_ctx config ctx ~rf:1 in
   Alcotest.(check int) "nothing retained" 0 (List.length d.Retention.retained);
   Alcotest.(check int) "rejected with a reason" 1
     (List.length d.Retention.rejected);
@@ -150,14 +156,15 @@ let test_retention_rejects_when_tight () =
         (Astring_contains.contains reason "FB"))
     d.Retention.rejected;
   (* with a roomier FB the same candidate is accepted *)
-  let roomy = Retention.choose Fixtures.default_config app clustering ~rf:1 in
+  let roomy = Retention.choose_ctx Fixtures.default_config ctx ~rf:1 in
   Alcotest.(check int) "retained when roomy" 1
     (List.length roomy.Retention.retained)
 
 let test_retention_rf_validation () =
   let app = Fixtures.same_set () in
   let clustering = Fixtures.same_set_clustering app in
-  match Retention.choose Fixtures.default_config app clustering ~rf:0 with
+  let ctx = Sched.Sched_ctx.make app clustering in
+  match Retention.choose_ctx Fixtures.default_config ctx ~rf:0 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "rf validation"
 
@@ -167,21 +174,22 @@ let prop_retention_sound =
   QCheck.Test.make ~name:"retention respects footprints" ~count:100
     Workloads.Random_app.arb_app_with_clustering (fun (app, clustering) ->
       let config = Fixtures.big_config in
-      let footprints = Sched.Data_scheduler.footprints app clustering in
+      let ctx = Sched.Sched_ctx.make app clustering in
+      let footprints = Sched.Sched_ctx.footprints_list ctx in
       let rf =
         Sched.Reuse_factor.common ~fb_set_size:config.fb_set_size ~footprints
           ~iterations:app.Kernel_ir.Application.iterations
       in
       QCheck.assume (rf >= 1);
-      let d = Retention.choose config app clustering ~rf in
+      let d = Retention.choose_ctx config ctx ~rf in
       let profiles = IE.profiles app clustering in
       List.for_all2
         (fun (p : IE.cluster_profile) _fp ->
           let pinned =
-            Retention.pinned_for ~retained:d.Retention.retained
+            Oracle.Retention.pinned_for ~retained:d.Retention.retained
               ~cluster:p.IE.cluster
           in
-          rf * Sched.Ds_formula.closed_form ~pinned p <= config.fb_set_size)
+          rf * Oracle.Ds_formula.closed_form ~pinned p <= config.fb_set_size)
         profiles footprints)
 
 let tests =
@@ -207,8 +215,9 @@ let test_tf_ordering_beats_naive () =
   let app = Workloads.Synthetic.retention_stress () in
   let clustering = Workloads.Synthetic.retention_stress_clustering app in
   let config = Morphosys.Config.m1 ~fb_set_size:600 in
+  let ctx = Sched.Sched_ctx.make app clustering in
   let avoided ranking =
-    (Retention.choose ~ranking config app clustering ~rf:1)
+    (Retention.choose_ctx ~ranking config ctx ~rf:1)
       .Retention.avoided_words_per_iteration
   in
   Alcotest.(check int) "tf" 400 (avoided `Tf);
@@ -220,7 +229,7 @@ let test_tf_ordering_beats_naive () =
   List.iter
     (fun ranking ->
       Alcotest.(check int) "roomy ties" 700
-        (Retention.choose ~ranking roomy app clustering ~rf:1)
+        (Retention.choose_ctx ~ranking roomy ctx ~rf:1)
           .Retention.avoided_words_per_iteration)
     [ `Tf; `Fifo; `Smallest_first; `Largest_first ]
 

@@ -9,9 +9,13 @@ let config = Morphosys.Config.m1 ~fb_set_size:1024
 let ds_schedule () =
   let app = Fixtures.toy () in
   let clustering = Fixtures.toy_clustering app in
-  match Sched.Data_scheduler.schedule config app clustering with
+  match
+    Sched.Data_scheduler.run
+      (Sched.Sched_ctx.make app clustering)
+      config
+  with
   | Ok s -> s
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Diag.to_string e)
 
 let test_emit_structure () =
   let s = ds_schedule () in
@@ -68,13 +72,25 @@ let test_interp_matches_executor_table1 () =
       let app = e.Workloads.Table1.app
       and clustering = e.Workloads.Table1.clustering
       and config = e.Workloads.Table1.config in
-      (match Sched.Basic_scheduler.schedule config app clustering with
+      (match
+         Sched.Basic_scheduler.run
+           (Sched.Sched_ctx.make app clustering)
+           config
+       with
       | Ok s -> check s
       | Error _ -> ());
-      (match Sched.Data_scheduler.schedule config app clustering with
+      (match
+         Sched.Data_scheduler.run
+           (Sched.Sched_ctx.make app clustering)
+           config
+       with
       | Ok s -> check s
       | Error _ -> ());
-      match Cds.Complete_data_scheduler.schedule config app clustering with
+      match
+        Cds.Complete_data_scheduler.run_full
+          (Sched.Sched_ctx.make app clustering)
+          config
+      with
       | Ok r -> check r.Cds.Complete_data_scheduler.schedule
       | Error _ -> ())
     (Workloads.Table1.all ())
@@ -171,7 +187,11 @@ let test_asm_parse_errors () =
 let prop_asm_round_trip =
   QCheck.Test.make ~name:"emitted programs round-trip through asm" ~count:50
     Workloads.Random_app.arb_app_with_clustering (fun (app, clustering) ->
-      match Sched.Data_scheduler.schedule Fixtures.big_config app clustering with
+      match
+        Sched.Data_scheduler.run
+          (Sched.Sched_ctx.make app clustering)
+          Fixtures.big_config
+      with
       | Error _ -> false
       | Ok s -> (
         let program = Codegen.Emit.program s in
@@ -183,7 +203,11 @@ let prop_interp_matches_executor =
   QCheck.Test.make ~name:"interpreter = executor on random apps" ~count:75
     Workloads.Random_app.arb_app_with_clustering (fun (app, clustering) ->
       let config = Fixtures.big_config in
-      match Cds.Complete_data_scheduler.schedule config app clustering with
+      match
+        Cds.Complete_data_scheduler.run_full
+          (Sched.Sched_ctx.make app clustering)
+          config
+      with
       | Error _ -> false
       | Ok r ->
         let s = r.Cds.Complete_data_scheduler.schedule in
@@ -197,7 +221,11 @@ let test_looped_unrolls_to_unrolled () =
       let app = e.Workloads.Table1.app
       and clustering = e.Workloads.Table1.clustering
       and config = e.Workloads.Table1.config in
-      match Cds.Complete_data_scheduler.schedule config app clustering with
+      match
+        Cds.Complete_data_scheduler.run_full
+          (Sched.Sched_ctx.make app clustering)
+          config
+      with
       | Error _ -> ()
       | Ok r ->
         let s = r.Cds.Complete_data_scheduler.schedule in
@@ -221,10 +249,11 @@ let test_looped_compresses () =
   (* MPEG at 2K runs 30 rounds: the looped program must be much smaller *)
   let e = Workloads.Table1.by_id "MPEG" in
   match
-    Cds.Complete_data_scheduler.schedule e.Workloads.Table1.config
-      e.Workloads.Table1.app e.Workloads.Table1.clustering
+    Cds.Complete_data_scheduler.run_full
+      (Sched.Sched_ctx.make e.Workloads.Table1.app e.Workloads.Table1.clustering)
+      e.Workloads.Table1.config
   with
-  | Error err -> Alcotest.fail err
+  | Error err -> Alcotest.fail (Diag.to_string err)
   | Ok r ->
     let s = r.Cds.Complete_data_scheduler.schedule in
     let unrolled = I.size (Codegen.Emit.program s) in
@@ -253,7 +282,11 @@ let prop_looped_interp_matches =
   QCheck.Test.make ~name:"looped program = executor on random apps" ~count:50
     Workloads.Random_app.arb_app_with_clustering (fun (app, clustering) ->
       let config = Fixtures.big_config in
-      match Cds.Complete_data_scheduler.schedule config app clustering with
+      match
+        Cds.Complete_data_scheduler.run_full
+          (Sched.Sched_ctx.make app clustering)
+          config
+      with
       | Error _ -> false
       | Ok r ->
         let s = r.Cds.Complete_data_scheduler.schedule in
@@ -269,7 +302,9 @@ let prop_looped_asm_round_trip =
   QCheck.Test.make ~name:"looped programs round-trip through asm" ~count:50
     Workloads.Random_app.arb_app_with_clustering (fun (app, clustering) ->
       match
-        Sched.Data_scheduler.schedule Fixtures.big_config app clustering
+        Sched.Data_scheduler.run
+          (Sched.Sched_ctx.make app clustering)
+          Fixtures.big_config
       with
       | Error _ -> false
       | Ok s -> (

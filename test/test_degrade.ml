@@ -12,7 +12,8 @@ let squeezed_config app clustering =
   let fb_set_size =
     Msutil.Listx.max_by
       (fun x -> x)
-      (Sched.Basic_scheduler.footprints app clustering)
+      (Sched.Sched_ctx.basic_footprints_list
+         (Sched.Sched_ctx.make app clustering))
   in
   let cm_capacity = max 2048 (Kernel_ir.Application.total_context_words app) in
   Morphosys.Config.make ~fb_set_size ~cm_capacity ()

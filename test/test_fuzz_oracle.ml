@@ -8,13 +8,11 @@ module Dse = Report.Dse
 let config = Morphosys.Config.m1 ~fb_set_size:4096
 
 let schedules (app, clustering) =
+  let ctx = Sched.Sched_ctx.make app clustering in
   [
-    ("basic", Sched.Basic_scheduler.schedule config app clustering);
-    ("ds", Sched.Data_scheduler.schedule config app clustering);
-    ( "cds",
-      Result.map
-        (fun r -> r.Cds.Complete_data_scheduler.schedule)
-        (Cds.Complete_data_scheduler.schedule config app clustering) );
+    ("basic", Sched.Basic_scheduler.run ctx config);
+    ("ds", Sched.Data_scheduler.run ctx config);
+    ("cds", Cds.Complete_data_scheduler.run ctx config);
   ]
 
 (* Each scheduler either declares the instance infeasible or produces a
@@ -23,7 +21,7 @@ let prop_validator (app, clustering) =
   List.for_all
     (fun (name, result) ->
       match result with
-      | Error (_ : string) -> true
+      | Error (_ : Diag.t) -> true
       | Ok s -> (
         match Msim.Validate.check s with
         | [] -> true

@@ -44,7 +44,9 @@ let test_validation () =
 let test_split_footprint () =
   let app = app_with_table () in
   let clustering = clustering app in
-  let splits = Sched.Data_scheduler.footprints_split app clustering in
+  let splits =
+    Sched.Sched_ctx.splits_list (Sched.Sched_ctx.make app clustering)
+  in
   (* cluster 0: per-iteration d0+o0 = 90, constant table 200 *)
   Alcotest.(check (pair int int)) "cluster 0" (90, 200) (List.nth splits 0);
   Alcotest.(check (pair int int)) "cluster 1 has no constant" (90, 0)
@@ -58,8 +60,12 @@ let test_ds_loads_once_per_round () =
   let app = app_with_table () in
   let clustering = clustering app in
   let config = Morphosys.Config.m1 ~fb_set_size:1024 in
-  match Sched.Data_scheduler.schedule config app clustering with
-  | Error e -> Alcotest.fail e
+  match
+    Sched.Data_scheduler.run
+      (Sched.Sched_ctx.make app clustering)
+      config
+  with
+  | Error e -> Alcotest.fail (Diag.to_string e)
   | Ok s ->
     Msim.Validate.check_exn s;
     let rounds = Schedule.rounds s in
@@ -83,8 +89,12 @@ let test_cds_retains_across_rounds () =
   let app = app_with_table () in
   let clustering = clustering app in
   let config = Morphosys.Config.m1 ~fb_set_size:1024 in
-  match Cds.Complete_data_scheduler.schedule config app clustering with
-  | Error e -> Alcotest.fail e
+  match
+    Cds.Complete_data_scheduler.run_full
+      (Sched.Sched_ctx.make app clustering)
+      config
+  with
+  | Error e -> Alcotest.fail (Diag.to_string e)
   | Ok r ->
     let s = r.Cds.Complete_data_scheduler.schedule in
     Msim.Validate.check_exn s;
@@ -108,11 +118,15 @@ let test_cds_retains_across_rounds () =
     in
     Alcotest.(check int) "loaded exactly once for the whole run" 1 tbl_loads;
     (* and the CDS beats DS thanks to the table *)
-    (match Sched.Data_scheduler.schedule config app clustering with
+    (match
+       Sched.Data_scheduler.run
+         (Sched.Sched_ctx.make app clustering)
+         config
+     with
     | Ok ds ->
       let cycles x = (Msim.Executor.run config x).Msim.Metrics.total_cycles in
       Alcotest.(check bool) "cds faster than ds" true (cycles s < cycles ds)
-    | Error e -> Alcotest.fail e)
+    | Error e -> Alcotest.fail (Diag.to_string e))
 
 let test_allocation_single_copy () =
   let app = app_with_table () in
@@ -162,8 +176,12 @@ let test_looped_program_with_invariant () =
   let config = Morphosys.Config.m1 ~fb_set_size:640 in
   (* small FB: several rounds, so the reroller must keep the constant
      table's absolute reference inside the loop *)
-  match Sched.Data_scheduler.schedule config app clustering with
-  | Error e -> Alcotest.fail e
+  match
+    Sched.Data_scheduler.run
+      (Sched.Sched_ctx.make app clustering)
+      config
+  with
+  | Error e -> Alcotest.fail (Diag.to_string e)
   | Ok s ->
     let unrolled = Codegen.Emit.program s in
     let looped = Codegen.Emit.program_looped s in

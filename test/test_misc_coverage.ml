@@ -27,8 +27,12 @@ let test_trace_timeline_consistency () =
   let app = Fixtures.same_set () in
   let clustering = Fixtures.same_set_clustering app in
   let config = Fixtures.default_config in
-  match Sched.Data_scheduler.schedule config app clustering with
-  | Error e -> Alcotest.fail e
+  match
+    Sched.Data_scheduler.run
+      (Sched.Sched_ctx.make app clustering)
+      config
+  with
+  | Error e -> Alcotest.fail (Diag.to_string e)
   | Ok s ->
     let metrics, timeline = Msim.Executor.run_timed config s in
     (* steps tile the total time with no gaps or overlaps *)
@@ -47,8 +51,12 @@ let test_trace_timeline_consistency () =
 let test_schedule_pp () =
   let app = Fixtures.toy () in
   let clustering = Fixtures.toy_clustering app in
-  match Sched.Data_scheduler.schedule Fixtures.default_config app clustering with
-  | Error e -> Alcotest.fail e
+  match
+    Sched.Data_scheduler.run
+      (Sched.Sched_ctx.make app clustering)
+      Fixtures.default_config
+  with
+  | Error e -> Alcotest.fail (Diag.to_string e)
   | Ok s ->
     let text = Format.asprintf "%a" Sched.Schedule.pp s in
     List.iter
@@ -63,8 +71,12 @@ let test_figure5_snapshot_order () =
   let app = Workloads.Synthetic.figure5 () in
   let clustering = Workloads.Synthetic.figure5_clustering app in
   let config = Morphosys.Config.m1 ~fb_set_size:512 in
-  match Cds.Complete_data_scheduler.schedule config app clustering with
-  | Error e -> Alcotest.fail e
+  match
+    Cds.Complete_data_scheduler.run_full
+      (Sched.Sched_ctx.make app clustering)
+      config
+  with
+  | Error e -> Alcotest.fail (Diag.to_string e)
   | Ok r ->
     let focus = Workloads.Synthetic.figure5_focus_cluster in
     let result =
@@ -91,10 +103,11 @@ let test_interp_eviction_on_real_workload () =
      context sets while replaying, and still match the executor *)
   let e = Workloads.Table1.by_id "E3" in
   match
-    Cds.Complete_data_scheduler.schedule e.Workloads.Table1.config
-      e.Workloads.Table1.app e.Workloads.Table1.clustering
+    Cds.Complete_data_scheduler.run_full
+      (Sched.Sched_ctx.make e.Workloads.Table1.app e.Workloads.Table1.clustering)
+      e.Workloads.Table1.config
   with
-  | Error err -> Alcotest.fail err
+  | Error err -> Alcotest.fail (Diag.to_string err)
   | Ok r ->
     let s = r.Cds.Complete_data_scheduler.schedule in
     let interp =

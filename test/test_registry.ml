@@ -1,7 +1,7 @@
 (* The scheduler registry: deterministic listing, duplicate rejection, and
    the central equivalence property — dispatching any registered scheduler
    through [Scheduler_registry.run] produces results byte-identical to the
-   scheduler's own legacy [schedule] entry point on the same inputs. *)
+   scheduler's list-based reference in [Oracle] on the same inputs. *)
 
 module Registry = Sched.Scheduler_registry
 module Intf = Sched.Scheduler_intf
@@ -73,25 +73,21 @@ let test_unknown_run_diagnoses () =
     Alcotest.(check bool) "message lists the known names" true
       (contains d.Diag.message "basic")
 
-(* ---------- equivalence: registry dispatch = legacy entry points ------- *)
+(* ---------- equivalence: registry dispatch = oracle reference ---------- *)
 
-(* The legacy string-API call each registry name shims over. *)
-let legacy_of name config app clustering =
+(* The list-based reference implementation of each registered name. *)
+let reference_of name config app clustering =
   match name with
-  | "basic" -> Sched.Basic_scheduler.schedule config app clustering
-  | "ds" -> Sched.Data_scheduler.schedule config app clustering
-  | "cds" ->
+  | "basic" -> Oracle.Basic_scheduler.schedule_reference config app clustering
+  | "ds" -> Oracle.Data_scheduler.schedule_reference config app clustering
+  | "cds" | "cds-xset" ->
     Result.map
       (fun r -> r.Cds.Complete_data_scheduler.schedule)
-      (Cds.Complete_data_scheduler.schedule config app clustering)
-  | "cds-xset" ->
-    Result.map
-      (fun r -> r.Cds.Complete_data_scheduler.schedule)
-      (Cds.Complete_data_scheduler.schedule ~cross_set:true config app
-         clustering)
-  | n -> invalid_arg ("legacy_of: no legacy entry point for " ^ n)
+      (Oracle.Complete_data_scheduler.schedule_reference
+         ~cross_set:(name = "cds-xset") config app clustering)
+  | n -> invalid_arg ("reference_of: no reference implementation for " ^ n)
 
-let prop_registry_equals_legacy (app, clustering) =
+let prop_registry_equals_reference (app, clustering) =
   let config = Morphosys.Config.m1 ~fb_set_size:4096 in
   let ctx = Sched.Sched_ctx.make app clustering in
   List.for_all
@@ -99,8 +95,8 @@ let prop_registry_equals_legacy (app, clustering) =
       let via_registry =
         Result.map_error Diag.to_string (Registry.run name ctx config)
       in
-      let via_legacy = legacy_of name config app clustering in
-      match (via_registry, via_legacy) with
+      let via_reference = reference_of name config app clustering in
+      match (via_registry, via_reference) with
       | Ok a, Ok b ->
         a = b
         || QCheck.Test.fail_reportf "%s: registry schedule differs" name
@@ -108,17 +104,19 @@ let prop_registry_equals_legacy (app, clustering) =
         a = b
         || QCheck.Test.fail_reportf "%s: errors differ: %S vs %S" name a b
       | Ok _, Error e ->
-        QCheck.Test.fail_reportf "%s: registry Ok but legacy Error %S" name e
+        QCheck.Test.fail_reportf "%s: registry Ok but reference Error %S" name
+          e
       | Error e, Ok _ ->
-        QCheck.Test.fail_reportf "%s: registry Error %S but legacy Ok" name e)
+        QCheck.Test.fail_reportf "%s: registry Error %S but reference Ok" name
+          e)
     [ "basic"; "ds"; "cds"; "cds-xset" ]
 
 let equivalence_property =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:200
-       ~name:"registry run = legacy schedule (all registered schedulers)"
+       ~name:"registry run = oracle reference (all registered schedulers)"
        Workloads.Random_app.arb_app_with_clustering
-       prop_registry_equals_legacy)
+       prop_registry_equals_reference)
 
 let tests =
   ( "scheduler_registry",

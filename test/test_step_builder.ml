@@ -10,8 +10,12 @@ let config = Fixtures.default_config
 let test_even_cluster_count_has_no_stalls () =
   let app = Fixtures.toy () in
   let clustering = Fixtures.toy_clustering app in
-  match Sched.Data_scheduler.schedule config app clustering with
-  | Error e -> Alcotest.fail e
+  match
+    Sched.Data_scheduler.run
+      (Sched.Sched_ctx.make app clustering)
+      config
+  with
+  | Error e -> Alcotest.fail (Diag.to_string e)
   | Ok s ->
     Alcotest.(check int) "no conflict stall steps" 0
       (List.length
@@ -27,8 +31,12 @@ let test_odd_cluster_count_stalls_at_wraparound () =
   let app = Fixtures.same_set () in
   let clustering = Fixtures.same_set_clustering app in
   let config = Morphosys.Config.m1 ~fb_set_size:160 in
-  match Sched.Data_scheduler.schedule config app clustering with
-  | Error e -> Alcotest.fail e
+  match
+    Sched.Data_scheduler.run
+      (Sched.Sched_ctx.make app clustering)
+      config
+  with
+  | Error e -> Alcotest.fail (Diag.to_string e)
   | Ok s ->
     let stalls =
       List.filter
@@ -50,8 +58,12 @@ let test_odd_cluster_count_stalls_at_wraparound () =
 let test_overlap_legality_in_all_steps () =
   let app = Fixtures.same_set () in
   let clustering = Fixtures.same_set_clustering app in
-  match Sched.Data_scheduler.schedule config app clustering with
-  | Error e -> Alcotest.fail e
+  match
+    Sched.Data_scheduler.run
+      (Sched.Sched_ctx.make app clustering)
+      config
+  with
+  | Error e -> Alcotest.fail (Diag.to_string e)
   | Ok s ->
     List.iter
       (fun (step : Schedule.step) ->
@@ -72,11 +84,13 @@ let test_overlap_legality_in_all_steps () =
 let test_rf_validation () =
   let app = Fixtures.toy () in
   let clustering = Fixtures.toy_clustering app in
+  let analysis = Kernel_ir.Analysis.make app clustering in
   match
     Sched.Step_builder.build config app clustering ~rf:0
       ~ctx_plan:
-        (Result.get_ok (Sched.Context_scheduler.plan config app clustering))
-      ~generators:(Sched.Xfer_gen.plain app clustering)
+        (Result.get_ok
+           (Sched.Context_scheduler.plan_of_analysis config analysis))
+      ~generators:(Sched.Xfer_gen.plain_ctx analysis)
       ~scheduler:"x"
   with
   | exception Invalid_argument _ -> ()
@@ -86,8 +100,9 @@ let test_xfer_gen_plain_vs_store_everything () =
   let app = Fixtures.toy () in
   let clustering = Fixtures.toy_clustering app in
   let c0 = Kernel_ir.Cluster.find clustering 0 in
-  let plain = Sched.Xfer_gen.plain app clustering in
-  let all = Sched.Xfer_gen.store_everything app clustering in
+  let analysis = Kernel_ir.Analysis.make app clustering in
+  let plain = Sched.Xfer_gen.plain_ctx analysis in
+  let all = Sched.Xfer_gen.store_everything_ctx analysis in
   let words gens =
     Msutil.Listx.sum_by
       (fun (tr : Dma.t) -> tr.Dma.words)
@@ -117,12 +132,10 @@ let prop_cost_estimate_equals_executor =
           = (Msim.Executor.run config s).Msim.Metrics.total_cycles
         | Error _ -> false
       in
-      agree (Sched.Basic_scheduler.schedule config app clustering)
-      && agree (Sched.Data_scheduler.schedule config app clustering)
-      && agree
-           (Result.map
-              (fun r -> r.Cds.Complete_data_scheduler.schedule)
-              (Cds.Complete_data_scheduler.schedule config app clustering)))
+      let ctx = Sched.Sched_ctx.make app clustering in
+      agree (Sched.Basic_scheduler.run ctx config)
+      && agree (Sched.Data_scheduler.run ctx config)
+      && agree (Cds.Complete_data_scheduler.run ctx config))
 
 let test_context_partial_pinning () =
   (* four singleton clusters with contexts 100/50/50/50 and a 240-word CM:
@@ -141,8 +154,11 @@ let test_context_partial_pinning () =
   in
   let clustering = Kernel_ir.Cluster.singleton_per_kernel app in
   let config = Morphosys.Config.make ~fb_set_size:1024 ~cm_capacity:240 () in
-  match Sched.Context_scheduler.plan config app clustering with
-  | Error e -> Alcotest.fail e
+  match
+    Sched.Context_scheduler.plan_of_analysis config
+      (Kernel_ir.Analysis.make app clustering)
+  with
+  | Error e -> Alcotest.fail (Diag.to_string e)
   | Ok plan ->
     Alcotest.(check (list int)) "the big cluster is pinned" [ 0 ]
       plan.Sched.Context_scheduler.pinned;
@@ -150,7 +166,7 @@ let test_context_partial_pinning () =
       plan.Sched.Context_scheduler.reloaded;
     let pinned_cluster = List.hd plan.Sched.Context_scheduler.pinned in
     Alcotest.(check int) "pinned loads once" 0
-      (Sched.Context_scheduler.load_words_for_round plan ~app ~clustering
+      (Sched.Context_scheduler.load_words_for_round plan ~app
          ~cluster:(Kernel_ir.Cluster.find clustering pinned_cluster)
          ~round:2)
 

@@ -8,9 +8,13 @@ let config = Fixtures.default_config
 let schedule () =
   let app = Fixtures.toy () in
   let clustering = Fixtures.toy_clustering app in
-  match Sched.Data_scheduler.schedule config app clustering with
+  match
+    Sched.Data_scheduler.run
+      (Sched.Sched_ctx.make app clustering)
+      config
+  with
   | Ok s -> s
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Diag.to_string e)
 
 let test_structure () =
   let text = Vcd.of_schedule config (schedule ()) in
