@@ -40,14 +40,12 @@ let tests =
            let app = Workloads.Synthetic.figure5 () in
            let clustering = Workloads.Synthetic.figure5_clustering app in
            let cfg = Morphosys.Config.m1 ~fb_set_size:512 in
-           match
-             Cds.Complete_data_scheduler.run_full
-               (Sched.Sched_ctx.make app clustering)
-               cfg
-           with
+           let ctx = Sched.Sched_ctx.make app clustering in
+           match Cds.Complete_data_scheduler.run_full ctx cfg with
            | Ok r ->
              ignore
-               (Cds.Allocation_algorithm.run cfg app clustering
+               (Cds.Allocation_algorithm.run
+                  ~analysis:(Sched.Sched_ctx.analysis ctx) cfg
                   ~rf:r.Cds.Complete_data_scheduler.rf
                   ~retention:r.Cds.Complete_data_scheduler.retention ~round:0)
            | Error e -> failwith (Diag.to_string e)));

@@ -12,11 +12,8 @@ let () =
   let app = Workloads.Synthetic.figure5 () in
   let clustering = Workloads.Synthetic.figure5_clustering app in
   let config = Morphosys.Config.m1 ~fb_set_size:512 in
-  match
-    Cds.Complete_data_scheduler.run_full
-      (Sched.Sched_ctx.make app clustering)
-      config
-  with
+  let ctx = Sched.Sched_ctx.make app clustering in
+  match Cds.Complete_data_scheduler.run_full ctx config with
   | Error e -> failwith (Diag.to_string e)
   | Ok r ->
     Format.printf "RF = %d (as in the figure)@." r.Cds.Complete_data_scheduler.rf;
@@ -24,9 +21,9 @@ let () =
       r.Cds.Complete_data_scheduler.retention;
     let focus = Workloads.Synthetic.figure5_focus_cluster in
     let result =
-      AA.run
+      AA.run ~analysis:(Sched.Sched_ctx.analysis ctx)
         ~capture:(fun ~cluster_id -> cluster_id = focus)
-        config app clustering ~rf:r.Cds.Complete_data_scheduler.rf
+        config ~rf:r.Cds.Complete_data_scheduler.rf
         ~retention:r.Cds.Complete_data_scheduler.retention ~round:0
     in
     let labels = List.map (fun s -> s.AA.caption) result.AA.snapshots in

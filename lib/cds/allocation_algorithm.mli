@@ -35,16 +35,13 @@ type result = {
 }
 
 val run :
-  ?analysis:Kernel_ir.Analysis.t ->
+  analysis:Kernel_ir.Analysis.t ->
   ?capture:(cluster_id:int -> bool) ->
   Morphosys.Config.t ->
-  Kernel_ir.Application.t ->
-  Kernel_ir.Cluster.clustering ->
   rf:int ->
   retention:Retention.decision ->
   round:int ->
   result
-(** [capture] selects the clusters whose snapshots are recorded (default:
-    all). [analysis] supplies precomputed cluster profiles (must belong to
-    the same [(app, clustering)]); without it the profiles are re-derived.
-    @raise Invalid_argument if [rf < 1] or [round < 0]. *)
+(** Allocates one round of the analysed application and clustering.
+    [capture] selects the clusters whose snapshots are recorded (default:
+    all). @raise Invalid_argument if [rf < 1] or [round < 0]. *)

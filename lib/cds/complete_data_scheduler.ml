@@ -50,9 +50,6 @@ let selectors_ctx (analysis : Kernel_ir.Analysis.t)
   in
   { Sched.Step_builder.load_objects; store_objects }
 
-let generators_ctx analysis decision =
-  Sched.Xfer_gen.generators_of_selectors (selectors_ctx analysis decision)
-
 let run_full ?(retention = true) ?(cross_set = false)
     (ctx : Sched.Sched_ctx.t) (config : Morphosys.Config.t) =
   match Engine.Faults.hit "sched" with
@@ -61,8 +58,6 @@ let run_full ?(retention = true) ?(cross_set = false)
       (Diag.v ~scheduler:"cds" Diag.Fault_injected
          "injected fault at scheduler entry (%s)" site)
   | () -> (
-  let app = Sched.Sched_ctx.app ctx in
-  let clustering = Sched.Sched_ctx.clustering ctx in
   let analysis = Sched.Sched_ctx.analysis ctx in
   match Sched.Context_scheduler.plan_of_analysis config analysis with
   | Error d -> Error (Diag.with_scheduler "cds" d)
@@ -70,7 +65,7 @@ let run_full ?(retention = true) ?(cross_set = false)
     match
       Sched.Reuse_factor.common_split ~fb_set_size:config.fb_set_size
         ~footprints:(Sched.Sched_ctx.splits_list ctx)
-        ~iterations:app.Kernel_ir.Application.iterations
+        ~iterations:(Sched.Sched_ctx.app ctx).Kernel_ir.Application.iterations
     with
     | 0 ->
       Error
@@ -78,46 +73,26 @@ let run_full ?(retention = true) ?(cross_set = false)
            "some cluster's DS(C) exceeds the FB set of %dw"
            config.fb_set_size)
     | rf_max ->
-      let scheduler_name = if cross_set then "cds-xset" else "cds" in
-      (* RF search without materialising a schedule per candidate factor:
-         each RF is costed with [Step_builder.estimate] (exactly the
-         cycles [Schedule_cost] would report for the built schedule) and
-         only the winner is built. Retention ablated means the decision is
-         RF-independent — computed once. *)
-      let none_decision = if retention then None else Some Retention.none in
-      let decision_for rf =
-        match none_decision with
-        | Some d -> d
-        | None -> Retention.choose_ctx ~cross_set config ctx ~rf
+      (* Retention is recomputed per candidate RF: pinned copies scale
+         with RF. *)
+      let select rf =
+        let decision =
+          if retention then Retention.choose_ctx ~cross_set config ctx ~rf
+          else Retention.none
+        in
+        (decision, selectors_ctx analysis decision)
       in
-      let chosen_rf, decision =
-        (* keep the fastest; ties prefer the larger RF *)
-        List.fold_left
-          (fun acc rf ->
-            let decision = decision_for rf in
-            let cycles =
-              Sched.Step_builder.estimate config app clustering ~rf ~ctx_plan
-                ~selectors:(selectors_ctx analysis decision)
-            in
-            match acc with
-            | Some (_, _, best_cycles) when best_cycles < cycles -> acc
-            | _ -> Some (rf, decision, cycles))
-          None
-          (List.init rf_max (fun i -> i + 1))
-        |> Option.get
-        |> fun (rf, d, _) -> (rf, d)
-      in
-      let chosen =
-        Sched.Step_builder.build ~cross_set config app clustering
-          ~rf:chosen_rf ~ctx_plan
-          ~generators:(generators_ctx analysis decision)
-          ~scheduler:scheduler_name
+      let schedule, decision =
+        Sched.Step_builder.fastest ~cross_set config analysis ~rf_max
+          ~ctx_plan
+          ~scheduler:(if cross_set then "cds-xset" else "cds")
+          select
       in
       Ok
         {
-          schedule = chosen;
+          schedule;
           retention = decision;
-          rf = chosen.Sched.Schedule.rf;
+          rf = schedule.Sched.Schedule.rf;
           data_words_avoided_per_iteration =
             decision.Retention.avoided_words_per_iteration;
         }))

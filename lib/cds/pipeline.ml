@@ -194,7 +194,7 @@ let allocation_report config app clustering =
   Result.map
     (fun (r : Complete_data_scheduler.result) ->
       Allocation_algorithm.run ~analysis:(Sched.Sched_ctx.analysis ctx) config
-        app clustering ~rf:r.Complete_data_scheduler.rf
+        ~rf:r.Complete_data_scheduler.rf
         ~retention:r.Complete_data_scheduler.retention ~round:0)
     (Result.map_error Diag.to_string
        (Complete_data_scheduler.run_full ctx config))

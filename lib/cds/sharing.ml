@@ -15,8 +15,6 @@ type t = {
 
 let data t = IE.shared_of_data t.shared
 
-let set_of_cluster clustering id = (Cluster.find clustering id).Cluster.fb_set
-
 let candidates_of ~cross_set ~set_of_cluster shared =
   List.concat_map
     (fun s ->
@@ -89,11 +87,6 @@ let candidates_of ~cross_set ~set_of_cluster shared =
             };
           ])
     shared
-
-let candidates ?(cross_set = false) app clustering =
-  candidates_of ~cross_set
-    ~set_of_cluster:(set_of_cluster clustering)
-    (IE.sharing app clustering)
 
 let candidates_ctx ?(cross_set = false) (analysis : Kernel_ir.Analysis.t) =
   candidates_of ~cross_set

@@ -27,17 +27,18 @@ type t = {
 
 val data : t -> Kernel_ir.Data.t
 
-val candidates :
-  ?cross_set:bool ->
-  Kernel_ir.Application.t ->
-  Kernel_ir.Cluster.clustering ->
+val candidates_of :
+  cross_set:bool ->
+  set_of_cluster:(int -> Morphosys.Frame_buffer.set) ->
+  Kernel_ir.Info_extractor.shared list ->
   t list
-(** All retention opportunities of the clustering, unordered. *)
+(** Groups each shared object's clusters by the FB set they run on (all
+    into one group under [cross_set]) and turns every qualifying group into
+    a candidate. [set_of_cluster] maps a cluster id to its set. *)
 
 val candidates_ctx : ?cross_set:bool -> Kernel_ir.Analysis.t -> t list
-(** {!candidates} over a precomputed analysis context: reads the context's
-    cached sharing list and O(1) cluster lookups instead of re-deriving
-    them from the application. Returns the same list. *)
+(** All retention opportunities of the analysed clustering, unordered:
+    {!candidates_of} over the analysis' sharing list. *)
 
 val pins_cluster : t -> cluster_id:int -> bool
 (** Whether retaining this candidate occupies FB space for the whole

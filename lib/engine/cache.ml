@@ -24,33 +24,10 @@ let find t key =
         t.misses <- t.misses + 1;
         None)
 
-(* First value in wins; returns the canonical stored value. *)
-let intern t key v =
+(* First value in wins. *)
+let add t key v =
   with_lock t (fun () ->
-      match Hashtbl.find_opt t.table key with
-      | Some existing -> existing
-      | None ->
-        Hashtbl.add t.table key v;
-        v)
-
-let add t key v = ignore (intern t key v)
-
-let find_or_add t key f =
-  match find t key with
-  | Some v -> v
-  | None -> (
-    (* [f] runs outside the lock. If it raises, roll the miss counter
-       back: the lookup that retries this key will count the miss again,
-       so one logical computation is never counted as two misses. *)
-    match f () with
-    | v -> intern t key v
-    | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      with_lock t (fun () -> t.misses <- t.misses - 1);
-      Printexc.raise_with_backtrace e bt)
-  (* An injected lookup fault (Faults site "cache") degrades to a miss:
-     compute without touching the counters and intern the result. *)
-  | exception Faults.Injected _ -> intern t key (f ())
+      if not (Hashtbl.mem t.table key) then Hashtbl.add t.table key v)
 
 let length t = with_lock t (fun () -> Hashtbl.length t.table)
 let hits t = with_lock t (fun () -> t.hits)

@@ -2,7 +2,7 @@
     from pool workers.
 
     Keys are digests (see {!Key}); values are whatever the task computed.
-    A key, once added, is never overwritten — the first value interned
+    A key, once added, is never overwritten — the first value added
     wins — so repeated design points across sweeps are scheduled once and
     every later lookup sees the identical value. Hit/miss counters feed
     {!Stats} and the [--stats] CLI output. *)
@@ -18,18 +18,6 @@ val find : 'a t -> string -> 'a option
 
 val add : 'a t -> string -> 'a -> unit
 (** Intern a value; a no-op if the key is already present. *)
-
-val find_or_add : 'a t -> string -> (unit -> 'a) -> 'a
-(** [find_or_add t key f] returns the cached value, or runs [f] and
-    interns its result. [f] runs outside the lock, so two workers racing
-    on the same key may both compute — but both then observe the single
-    interned value, keeping results consistent.
-
-    If [f] raises, the miss counter is rolled back before the exception
-    propagates, so the retry that eventually fills the key counts one
-    miss, not two. An injected lookup fault ([Faults] site ["cache"])
-    degrades to a counter-neutral miss: the value is recomputed and
-    interned instead of the fault escaping. *)
 
 val length : 'a t -> int
 val hits : 'a t -> int

@@ -10,7 +10,7 @@
 
     Injection sites in this codebase:
     - ["pool"] — entry of every {!Pool} task;
-    - ["cache"] — {!Cache.find} lookups ({!Cache.find_or_add} degrades an
+    - ["cache"] — {!Cache.find} lookups (the DSE sweep degrades an
       injected lookup fault to a miss and recomputes);
     - ["sched"] — entry of the Basic/DS/CDS scheduler [_diag] paths,
       which convert the fault into a [Fault_injected] diagnostic. *)

@@ -73,7 +73,7 @@ let data_index_array (app : Application.t) =
 
 (* Reversed-accumulator buckets: one pass over [app.data] in declaration
    order, so every per-cluster / per-kernel list below keeps the order the
-   reference [Info_extractor] filters produce. *)
+   list-based reference filters produce. *)
 let bucket_data (app : Application.t) ~kernel_cluster ~n_clusters =
   let n_kernels = Application.n_kernels app in
   let consumed = Array.make n_clusters [] in
@@ -258,6 +258,5 @@ let produced_in_cluster t id =
   check_cluster_id t "produced_in_cluster" id;
   t.produced_by_cluster.(id)
 
-let profiles_list t = Array.to_list t.profiles
 let sharing t = t.sharing
 let tds t = t.tds

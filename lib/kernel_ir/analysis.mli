@@ -1,15 +1,15 @@
 (** Precomputed, immutable analysis context for one [(application,
-    clustering)] pair — the indexed counterpart of {!Info_extractor}.
+    clustering)] pair: the {!Info_extractor} profiles and sharing sets.
 
-    The reference extractor recomputes cluster profiles from scratch with
-    list scans ([List.nth], [List.mem], [Cluster.cluster_of_kernel]) every
-    time a scheduler needs them, which makes a single scheduler run
+    A list-based extractor would recompute cluster profiles from scratch
+    with list scans ([List.nth], [List.mem], [Cluster.cluster_of_kernel])
+    every time a scheduler needs them, which makes a single scheduler run
     quadratic-to-cubic in application size. [Analysis.make] performs the
-    same derivation once, with O(1) lookups, and the result is threaded
+    derivation once, with O(1) lookups, and the result is threaded
     through the schedulers. The profiles, sharing sets and orderings are
-    {e byte-identical} to the reference implementation — a property the
-    test suite checks on hundreds of random applications — so schedules
-    built from a context equal the reference schedules exactly.
+    {e byte-identical} to such a list-based reference, kept in the test
+    oracle — a property the test suite checks on hundreds of random
+    applications.
 
     The structure is immutable after construction (plain arrays and lists,
     no lazy cells or tables), so one context can be shared freely across
@@ -22,14 +22,15 @@ type t = private {
   kernel_cluster : int array;  (** kernel id -> cluster id *)
   data_index : Data.t option array;  (** data id -> object *)
   profiles : Info_extractor.cluster_profile array;
-      (** indexed by cluster id; equal to [Info_extractor.profiles] *)
+      (** indexed by cluster id *)
   consumed_by_cluster : Data.t list array;
       (** per cluster: every object some kernel of the cluster consumes,
           in application declaration order *)
   produced_by_cluster : Data.t list array;
       (** per cluster: every object produced inside it, declaration order *)
   sharing : Info_extractor.shared list;
-      (** equal to [Info_extractor.sharing] *)
+      (** every object used by several clusters, in declaration order,
+          regardless of FB-set compatibility *)
   tds : int;  (** total data words ({!Time_factor} denominator) *)
 }
 
@@ -47,9 +48,6 @@ val cluster : t -> int -> Cluster.t
 val profile : t -> int -> Info_extractor.cluster_profile
 (** By cluster id — replaces the fragile [List.nth profiles c.id].
     @raise Invalid_argument on an unknown id. *)
-
-val profiles_list : t -> Info_extractor.cluster_profile list
-(** All profiles in cluster-id order (equals [Info_extractor.profiles]). *)
 
 val cluster_of_kernel : t -> Kernel.id -> Cluster.t
 (** O(1) counterpart of [Cluster.cluster_of_kernel]. *)

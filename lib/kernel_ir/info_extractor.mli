@@ -1,8 +1,9 @@
-(** The information extractor of the compilation framework (paper Fig. 2):
-    derives from an application and a clustering everything the schedulers
-    need — per-kernel data classification (the paper's [d_j], [rout_j],
-    [r_jt]), per-cluster footprint inputs, and the inter-cluster sharing
-    sets ([D_i..j], [R_i,j..k]). *)
+(** The output of the information extractor of the compilation framework
+    (paper Fig. 2): everything the schedulers need to know about an
+    application and a clustering — per-kernel data classification (the
+    paper's [d_j], [rout_j], [r_jt]), per-cluster footprint inputs, and the
+    inter-cluster sharing sets ([D_i..j], [R_i,j..k]). {!Analysis.make}
+    derives them. *)
 
 (** Classification of one kernel's data traffic inside its cluster. *)
 type kernel_profile = {
@@ -36,21 +37,6 @@ val d_words : kernel_profile -> int
 val rout_words : kernel_profile -> int
 val intermediate_words : kernel_profile -> int
 
-val profile :
-  Application.t -> Cluster.clustering -> Cluster.t -> cluster_profile
-
-val profiles : Application.t -> Cluster.clustering -> cluster_profile list
-
-val produced_in : Cluster.t -> Data.t -> bool
-val consumed_in : Cluster.t -> Data.t -> bool
-
-val last_consumer_in : Cluster.t -> Data.t -> Kernel.id option
-(** Last consumer of the object among the cluster's kernels. *)
-
-val outlives : Cluster.clustering -> Cluster.t -> Data.t -> bool
-(** True when the object, produced in the cluster, is final or consumed by a
-    later cluster. *)
-
 (** {1 Inter-cluster sharing} *)
 
 (** A retention candidate: an object used by several clusters, plus the
@@ -68,10 +54,6 @@ type shared =
     }
 
 val shared_of_data : shared -> Data.t
-val sharing : Application.t -> Cluster.clustering -> shared list
-(** All sharing candidates, regardless of FB-set compatibility (the
-    retention pass filters by set). *)
-
 val clusters_involved : shared -> int list
 (** Producer (if any) followed by consumer clusters, ascending. *)
 

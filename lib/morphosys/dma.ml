@@ -21,12 +21,14 @@ let context_load ~kernel ~words =
   check_words words;
   { label = kernel; kind = Context; words }
 
-let cost (config : Config.t) t =
+let words_cost (config : Config.t) kind ~words =
   config.dma_setup_cycles
   +
-  match t.kind with
-  | Data _ -> t.words * config.data_cycles_per_word
-  | Context -> t.words * config.context_cycles_per_word
+  match kind with
+  | Data _ -> words * config.data_cycles_per_word
+  | Context -> words * config.context_cycles_per_word
+
+let cost config t = words_cost config t.kind ~words:t.words
 
 let total_cost config transfers =
   Msutil.Listx.sum_by (cost config) transfers

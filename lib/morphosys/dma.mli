@@ -22,8 +22,12 @@ val data_load : set:Frame_buffer.set -> label:string -> words:int -> t
 val data_store : set:Frame_buffer.set -> label:string -> words:int -> t
 val context_load : kernel:string -> words:int -> t
 
+val words_cost : Config.t -> kind -> words:int -> int
+(** Channel occupancy, in cycles, of one transfer of that kind and size:
+    the setup cost plus the kind's per-word cost. *)
+
 val cost : Config.t -> t -> int
-(** Channel occupancy of the transfer, in cycles. *)
+(** [words_cost] of the transfer. *)
 
 val total_cost : Config.t -> t list -> int
 (** Serial cost of a batch: the channel processes requests one at a time. *)

@@ -76,9 +76,8 @@ let point_key ~app_digest (fb, cm, setup, scheduler) =
 let find_safe cache key =
   try Engine.Cache.find cache key with Engine.Faults.Injected _ -> None
 
-(* A crashed (or timed-out) design-point task is isolated into an
-   infeasible point carrying its diagnostic; the rest of the sweep is
-   unaffected. *)
+(* A crashed design-point task is isolated into an infeasible point
+   carrying its diagnostic; the rest of the sweep is unaffected. *)
 let settle ~combo = function
   | Ok p -> p
   | Error d ->
@@ -287,7 +286,7 @@ module Durable = struct
     Engine.Journal.close t.journal
 end
 
-let sweep ?(jobs = 1) ?deadline_s ?retries ?cache ?stats ?store
+let sweep ?(jobs = 1) ?retries ?cache ?stats ?store
     ?(cm_list = [ 2048 ]) ?(setup_list = [ 0 ]) ~fb_list app clustering =
   let combos =
     List.concat_map
@@ -346,7 +345,7 @@ let sweep ?(jobs = 1) ?deadline_s ?retries ?cache ?stats ?store
   match cache with
   | None ->
     let slots =
-      Engine.Pool.run_results ~jobs ?deadline_s ?retries
+      Engine.Pool.run_results ~jobs ?retries
         (Array.of_list (List.map (fun c () -> eval c) combos))
     in
     List.mapi (fun i combo -> settle ~combo slots.(i)) combos
@@ -368,7 +367,7 @@ let sweep ?(jobs = 1) ?deadline_s ?retries ?cache ?stats ?store
     match app_digest with
     | None ->
       let slots =
-        Engine.Pool.run_results ~jobs ?deadline_s ?retries
+        Engine.Pool.run_results ~jobs ?retries
           (Array.of_list (List.map (fun c () -> eval c) combos))
       in
       List.mapi (fun i combo -> settle ~combo slots.(i)) combos
@@ -401,7 +400,7 @@ let sweep ?(jobs = 1) ?deadline_s ?retries ?cache ?stats ?store
               Durable.persist d ~key
                 { stored_point = p; stored_schedule = schedule })
       in
-      Engine.Pool.run_results ~jobs ?deadline_s ?retries
+      Engine.Pool.run_results ~jobs ?retries
         (Array.of_list (List.map task missing))
     in
     let fresh = Hashtbl.create 16 in
@@ -410,8 +409,8 @@ let sweep ?(jobs = 1) ?deadline_s ?retries ?cache ?stats ?store
         let p = settle ~combo computed.(i) in
         Hashtbl.replace fresh key p;
         (* a crashed task's placeholder point is not cached: the failure
-           may be transient (injected fault, deadline) and must not
-           poison later sweeps *)
+           may be transient (an injected fault) and must not poison later
+           sweeps *)
         if Result.is_ok computed.(i) then Engine.Cache.add cache key p)
       missing;
     (match stats with

@@ -16,7 +16,7 @@ type point = {
   context_words : int option;
   diag : Diag.t option;
       (** why the point is infeasible: a scheduler diagnostic, or a
-          [Task_crashed]/[Task_timeout] when the design-point task died
+          [Task_crashed]/[Fault_injected] when the design-point task died
           and was isolated *)
 }
 
@@ -104,7 +104,6 @@ end
 
 val sweep :
   ?jobs:int ->
-  ?deadline_s:float ->
   ?retries:int ->
   ?cache:point Engine.Cache.t ->
   ?stats:Engine.Stats.t ->
@@ -137,8 +136,7 @@ val sweep :
     [~store] implies an in-memory cache even if [~cache] is not given.
 
     The sweep is fault-isolated: a design-point task that crashes (or
-    exceeds [~deadline_s], or exhausts its [~retries] against injected
-    faults) becomes an infeasible point carrying the failure in [diag];
+    exhausts its [~retries] against injected faults) becomes an infeasible point carrying the failure in [diag];
     every other point is still computed and returned. Crashed points are
     never written to the cache or the store. An {!Engine.Faults} fault
     injected into a cache lookup degrades that lookup to a miss. *)

@@ -20,9 +20,9 @@ let figure5 () =
   | Ok r ->
     let focus = Workloads.Synthetic.figure5_focus_cluster in
     let result =
-      AA.run
+      AA.run ~analysis:(Sched.Sched_ctx.analysis ctx)
         ~capture:(fun ~cluster_id -> cluster_id = focus)
-        config app clustering ~rf:r.Cds.Complete_data_scheduler.rf
+        config ~rf:r.Cds.Complete_data_scheduler.rf
         ~retention:r.Cds.Complete_data_scheduler.retention ~round:0
     in
     Format.fprintf fmt "retained: %a@\n"

@@ -1,3 +1,22 @@
+module IE = Kernel_ir.Info_extractor
+
+(* No liveness analysis: every produced result, intermediates included, is
+   written back. *)
+let selectors analysis =
+  let profile_of (c : Kernel_ir.Cluster.t) =
+    Kernel_ir.Analysis.profile analysis c.Kernel_ir.Cluster.id
+  in
+  {
+    Step_builder.load_objects =
+      (fun c ~round:_ -> (profile_of c).IE.external_inputs);
+    store_objects =
+      (fun c ~round:_ ->
+        List.concat_map
+          (fun kp ->
+            kp.IE.rout_objects @ List.map fst kp.IE.intermediate_objects)
+          (profile_of c).IE.kernel_profiles);
+  }
+
 (* Index of the first footprint that does not fit the FB set, if any. *)
 let overflow_cluster config fps =
   let rec go i = function
@@ -15,8 +34,8 @@ let run (ctx : Sched_ctx.t) (config : Morphosys.Config.t) =
       (Diag.v ~scheduler:"basic" Diag.Fault_injected
          "injected fault at scheduler entry (%s)" site)
   | () -> (
-    let app = Sched_ctx.app ctx and clustering = Sched_ctx.clustering ctx in
-    match Context_scheduler.plan_of_analysis config (Sched_ctx.analysis ctx) with
+    let analysis = Sched_ctx.analysis ctx in
+    match Context_scheduler.plan_of_analysis config analysis with
     | Error d -> Error (Diag.with_scheduler "basic" d)
     | Ok ctx_plan -> (
       match overflow_cluster config (Sched_ctx.basic_footprints_list ctx) with
@@ -27,10 +46,8 @@ let run (ctx : Sched_ctx.t) (config : Morphosys.Config.t) =
              fp config.Morphosys.Config.fb_set_size)
       | None ->
         Ok
-          (Step_builder.build config app clustering ~rf:1 ~ctx_plan
-             ~generators:
-               (Xfer_gen.store_everything_ctx (Sched_ctx.analysis ctx))
-             ~scheduler:"basic")))
+          (Step_builder.build config analysis ~rf:1 ~ctx_plan
+             ~selectors:(selectors analysis) ~scheduler:"basic")))
 
 let scheduler : Scheduler_intf.t =
   (module struct

@@ -7,6 +7,10 @@
     must fit one FB set), and the reuse factor is fixed at 1, so contexts
     not resident in the CM are reloaded on every iteration. *)
 
+val selectors : Kernel_ir.Analysis.t -> Step_builder.selectors
+(** Basic's traffic: load every cluster input, store every produced
+    result, intermediates included (no liveness analysis). *)
+
 val run : Sched_ctx.t -> Morphosys.Config.t -> (Schedule.t, Diag.t) result
 (** The entry point ({!Scheduler_intf.S.run}). [Error] is an
     [Fb_overflow] or [Cm_overflow] diagnostic naming the offending

@@ -1,12 +1,6 @@
 module Cluster = Kernel_ir.Cluster
-module Application = Kernel_ir.Application
 
 type plan = { pinned : int list; reloaded : int list; reserve : int }
-
-let context_words app (c : Cluster.t) =
-  Msutil.Listx.sum_by
-    (fun kid -> (Application.kernel app kid).Kernel_ir.Kernel.contexts)
-    c.Cluster.kernels
 
 (* Largest combined context size of two consecutively-executed unpinned
    clusters (including the wrap-around pair), since the prefetch of the next
@@ -76,10 +70,13 @@ let plan_of_analysis (config : Morphosys.Config.t)
              p.Kernel_ir.Info_extractor.contexts))
           analysis.Kernel_ir.Analysis.profiles))
 
-let load_words_for_round plan ~app ~cluster ~round =
-  let words = context_words app cluster in
+let load_words_for_round plan
+    ~(profile : Kernel_ir.Info_extractor.cluster_profile) ~round =
+  let words = profile.Kernel_ir.Info_extractor.contexts in
   if round = 0 then words
-  else if List.mem cluster.Cluster.id plan.pinned then 0
+  else if
+    List.mem profile.Kernel_ir.Info_extractor.cluster.Cluster.id plan.pinned
+  then 0
   else words
 
 let pp_plan fmt t =

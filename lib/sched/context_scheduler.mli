@@ -21,14 +21,11 @@ val plan_of_analysis :
     offending cluster when some single cluster's contexts exceed the CM
     capacity — no schedule can run that clustering. *)
 
-val context_words :
-  Kernel_ir.Application.t -> Kernel_ir.Cluster.t -> int
-(** Context words of a cluster's kernels. *)
-
 val load_words_for_round :
-  plan -> app:Kernel_ir.Application.t -> cluster:Kernel_ir.Cluster.t ->
-  round:int -> int
-(** Context words the DMA must move for [cluster] at the given round: its
-    full context set on round 0, afterwards only if it is not pinned. *)
+  plan -> profile:Kernel_ir.Info_extractor.cluster_profile -> round:int ->
+  int
+(** Context words the DMA must move for the profile's cluster at the given
+    round: its full context set on round 0, afterwards only if it is not
+    pinned. *)
 
 val pp_plan : Format.formatter -> plan -> unit

@@ -1,70 +1,50 @@
-let log_src = Logs.Src.create "sched" ~doc:"Data scheduler decisions"
-
-module Log = (val Logs.src_log log_src)
+module IE = Kernel_ir.Info_extractor
 
 let default_efficiency = 0.85
 
-let packable_words efficiency (config : Morphosys.Config.t) =
-  if efficiency <= 0. || efficiency > 1. then
-    invalid_arg "Data_scheduler: alloc_efficiency must be in (0, 1]";
-  int_of_float (efficiency *. float_of_int config.fb_set_size)
+(* Intermediates die on chip: only the results that outlive the cluster
+   are stored. *)
+let selectors analysis =
+  let profile_of (c : Kernel_ir.Cluster.t) =
+    Kernel_ir.Analysis.profile analysis c.Kernel_ir.Cluster.id
+  in
+  {
+    Step_builder.load_objects =
+      (fun c ~round:_ -> (profile_of c).IE.external_inputs);
+    store_objects = (fun c ~round:_ -> (profile_of c).IE.outliving);
+  }
 
-let run_with ?(alloc_efficiency = default_efficiency) (ctx : Sched_ctx.t)
-    (config : Morphosys.Config.t) =
+let run (ctx : Sched_ctx.t) (config : Morphosys.Config.t) =
   match Engine.Faults.hit "sched" with
   | exception Engine.Faults.Injected site ->
     Error
       (Diag.v ~scheduler:"ds" Diag.Fault_injected
          "injected fault at scheduler entry (%s)" site)
   | () -> (
-  let app = Sched_ctx.app ctx and clustering = Sched_ctx.clustering ctx in
-  match Context_scheduler.plan_of_analysis config (Sched_ctx.analysis ctx) with
+  let analysis = Sched_ctx.analysis ctx in
+  match Context_scheduler.plan_of_analysis config analysis with
   | Error d -> Error (Diag.with_scheduler "ds" d)
   | Ok ctx_plan -> (
+    let packable =
+      int_of_float (default_efficiency *. float_of_int config.fb_set_size)
+    in
     match
-      Reuse_factor.common_split
-        ~fb_set_size:(packable_words alloc_efficiency config)
+      Reuse_factor.common_split ~fb_set_size:packable
         ~footprints:(Sched_ctx.splits_list ctx)
-        ~iterations:app.Kernel_ir.Application.iterations
+        ~iterations:(Sched_ctx.app ctx).Kernel_ir.Application.iterations
     with
     | 0 ->
       Error
         (Diag.v ~scheduler:"ds" Diag.No_feasible_rf
            "some cluster's DS(C)=%dw exceeds the packable %dw of the FB set"
            (Msutil.Listx.max_by (fun x -> x) (Sched_ctx.footprints_list ctx))
-           (packable_words alloc_efficiency config))
+           packable)
     | rf_max ->
-      (* Keep the fastest RF (ties go to the larger RF, which frees more
-         CM bandwidth). The largest memory-allowed RF is not always
-         fastest: batching RF iterations of transfers can exceed what an
-         imbalanced pipeline can hide. Each candidate factor is costed with
-         [Step_builder.estimate] (the cycles [Schedule_cost.estimate] would
-         report for the built schedule) and only the winner is built. *)
-      let analysis = Sched_ctx.analysis ctx in
-      let selectors = Xfer_gen.plain_selectors_ctx analysis in
-      let best_rf, best_cycles =
-        List.fold_left
-          (fun acc rf ->
-            let cycles =
-              Step_builder.estimate config app clustering ~rf ~ctx_plan
-                ~selectors
-            in
-            match acc with
-            | Some (_, best_cycles) when best_cycles < cycles -> acc
-            | _ -> Some (rf, cycles))
-          None
-          (List.init rf_max (fun i -> i + 1))
-        |> Option.get
-      in
-      Log.debug (fun m ->
-          m "chose rf=%d (%d cycles) out of rf_max=%d" best_rf best_cycles
-            rf_max);
+      let selectors = selectors analysis in
       Ok
-        (Step_builder.build config app clustering ~rf:best_rf ~ctx_plan
-           ~generators:(Xfer_gen.plain_ctx analysis)
-           ~scheduler:"ds")))
-
-let run ctx config = run_with ctx config
+        (fst
+           (Step_builder.fastest config analysis ~rf_max ~ctx_plan
+              ~scheduler:"ds" (fun _ -> ((), selectors))))))
 
 let scheduler : Scheduler_intf.t =
   (module struct

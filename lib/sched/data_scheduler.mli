@@ -13,27 +13,23 @@
     Complete Data Scheduler's allocator as an improvement that "reduces
     fragmentation" and thereby "allows it to increase RF". We model this as
     an {e allocation efficiency}: the Data Scheduler can only pack
-    [alloc_efficiency * fb_set_size] words (default {!default_efficiency}),
-    while the CDS allocator uses the whole set. *)
+    [default_efficiency * fb_set_size] words, while the CDS allocator uses
+    the whole set. *)
 
 val default_efficiency : float
 (** 0.85 — the fraction of the FB set the [5] allocator packs usefully. *)
 
-val run_with :
-  ?alloc_efficiency:float ->
-  Sched_ctx.t ->
-  Morphosys.Config.t ->
-  (Schedule.t, Diag.t) result
-(** Schedules at the given allocation efficiency, keeping the fastest
-    feasible reuse factor ({!Schedule_cost}); ties prefer the larger RF.
-    [Error] is a [No_feasible_rf] or [Cm_overflow] diagnostic when even
-    RF = 1 does not fit (some [DS(C)] exceeds the packable fraction of
-    the FB set) or the context memory cannot hold some cluster.
-    @raise Invalid_argument if [alloc_efficiency] is outside (0, 1]. *)
+val selectors : Kernel_ir.Analysis.t -> Step_builder.selectors
+(** DS's traffic: load every cluster input, store only the results that
+    outlive the cluster (intermediates die on chip). *)
 
 val run : Sched_ctx.t -> Morphosys.Config.t -> (Schedule.t, Diag.t) result
-(** The registry entry point ({!Scheduler_intf.S.run}): {!run_with} at
-    the default allocation efficiency. *)
+(** The entry point ({!Scheduler_intf.S.run}): packs
+    [default_efficiency * fb_set_size] words and keeps the fastest
+    feasible reuse factor ({!Step_builder.fastest}). [Error] is a
+    [No_feasible_rf] or [Cm_overflow] diagnostic when even RF = 1 does not
+    fit (some [DS(C)] exceeds the packable fraction of the FB set) or the
+    context memory cannot hold some cluster. *)
 
 val scheduler : Scheduler_intf.t
 (** The Data Scheduler as a first-class value, registered in

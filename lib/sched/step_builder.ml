@@ -1,41 +1,64 @@
+module IE = Kernel_ir.Info_extractor
 module Cluster = Kernel_ir.Cluster
+module Data = Kernel_ir.Data
 module Application = Kernel_ir.Application
+module Analysis = Kernel_ir.Analysis
 module Dma = Morphosys.Dma
-module Fb = Morphosys.Frame_buffer
 
-type generators = {
-  loads :
-    Cluster.t -> round:int -> iters:int -> base_iter:int -> Dma.t list;
-  stores :
-    Cluster.t -> round:int -> iters:int -> base_iter:int -> Dma.t list;
-}
+let log_src = Logs.Src.create "sched" ~doc:"Scheduler RF decisions"
 
-(* The object-level view behind a [generators]: which data objects a
-   cluster loads / stores in a given round. The transfer lists are derived
-   mechanically from these (one instance per iteration, one for an
-   invariant object), so a cost can be computed from the objects alone
-   without materialising labelled transfers — see [estimate]. *)
+module Log = (val Logs.src_log log_src)
+
 type selectors = {
-  load_objects : Cluster.t -> round:int -> Kernel_ir.Data.t list;
-  store_objects : Cluster.t -> round:int -> Kernel_ir.Data.t list;
+  load_objects : Cluster.t -> round:int -> Data.t list;
+  store_objects : Cluster.t -> round:int -> Data.t list;
 }
 
 type execution = {
-  cluster : Cluster.t;
+  profile : IE.cluster_profile;
   round : int;
   iters : int;
   base_iter : int;
+  compute_cycles : int;
 }
 
-let executions app clustering ~rf =
-  let n = app.Application.iterations in
-  let total_rounds = (n + rf - 1) / rf in
-  List.concat_map
-    (fun round ->
+(* Rounds x clusters, in execution order. An execution computes for
+   [iters] iterations of the cluster plus one context broadcast per kernel
+   (loop fission lets each kernel keep its configuration for all the
+   round's iterations). The broadcast term stays a per-kernel sum because
+   [Rc_array.reconfigure_cycles] rounds up per kernel. *)
+let executions config (analysis : Analysis.t) ~rf =
+  let app = analysis.Analysis.app and profiles = analysis.Analysis.profiles in
+  let reconfig =
+    Array.map
+      (fun (p : IE.cluster_profile) ->
+        Msutil.Listx.sum_by
+          (fun kid ->
+            Morphosys.Rc_array.reconfigure_cycles config
+              ~contexts:(Application.kernel app kid).Kernel_ir.Kernel.contexts)
+          p.IE.cluster.Cluster.kernels)
+      profiles
+  in
+  let n = app.Application.iterations and n_clusters = Array.length profiles in
+  Array.init
+    ((n + rf - 1) / rf * n_clusters)
+    (fun s ->
+      let round = s / n_clusters and c = s mod n_clusters in
       let base_iter = round * rf in
       let iters = min rf (n - base_iter) in
-      List.map (fun cluster -> { cluster; round; iters; base_iter }) clustering)
-    (List.init total_rounds (fun r -> r))
+      {
+        profile = profiles.(c);
+        round;
+        iters;
+        base_iter;
+        compute_cycles = (iters * profiles.(c).IE.compute_cycles) + reconfig.(c);
+      })
+
+let cluster_of e = e.profile.IE.cluster
+
+let context_words ctx_plan e =
+  Context_scheduler.load_words_for_round ctx_plan ~profile:e.profile
+    ~round:e.round
 
 (* A transfer may overlap a computation on [set] unless it reads or writes
    that same FB set; context loads go to the CM and always overlap. *)
@@ -44,55 +67,41 @@ let can_overlap ~computing_set (tr : Dma.t) =
   | Dma.Context -> true
   | Dma.Data { set; _ } -> set <> computing_set
 
-let compute_cycles config app (e : execution) =
-  let per_iter =
-    Msutil.Listx.sum_by
-      (fun kid -> (Application.kernel app kid).Kernel_ir.Kernel.exec_cycles)
-      e.cluster.Cluster.kernels
-  in
-  (* one context broadcast per kernel per round (loop fission lets each
-     kernel keep its configuration for all the round's iterations) *)
-  let reconfig =
-    Msutil.Listx.sum_by
-      (fun kid ->
-        Morphosys.Rc_array.reconfigure_cycles config
-          ~contexts:(Application.kernel app kid).Kernel_ir.Kernel.contexts)
-      e.cluster.Cluster.kernels
-  in
-  (e.iters * per_iter) + reconfig
-
-let build ?(cross_set = false) config app clustering ~rf ~ctx_plan ~generators
-    ~scheduler =
+let build ?(cross_set = false) config (analysis : Analysis.t) ~rf ~ctx_plan
+    ~selectors ~scheduler =
   if rf < 1 then invalid_arg "Step_builder.build: rf must be >= 1";
-  let execs = Array.of_list (executions app clustering ~rf) in
+  let execs = executions config analysis ~rf in
   let s_max = Array.length execs in
-  let loads_of s =
-    if s >= s_max then []
-    else
-      let e = execs.(s) in
-      generators.loads e.cluster ~round:e.round ~iters:e.iters
-        ~base_iter:e.base_iter
-  in
-  let stores_of s =
+  (* One transfer per (object, iteration) instance; one constant copy of an
+     invariant object serves every iteration of the round. *)
+  let transfers select make s =
     if s < 0 || s >= s_max then []
     else
       let e = execs.(s) in
-      generators.stores e.cluster ~round:e.round ~iters:e.iters
-        ~base_iter:e.base_iter
+      let c = cluster_of e in
+      List.concat_map
+        (fun (d : Data.t) ->
+          let xfer iter =
+            make ~set:c.Cluster.fb_set
+              ~label:(Schedule.instance_label d.Data.name ~iter)
+              ~words:d.Data.size
+          in
+          if d.Data.invariant then [ xfer 0 ]
+          else List.init e.iters (fun i -> xfer (e.base_iter + i)))
+        (select c ~round:e.round)
   in
+  let loads_of = transfers selectors.load_objects Dma.data_load in
+  let stores_of = transfers selectors.store_objects Dma.data_store in
   let ctx_of s =
     if s >= s_max then []
     else
       let e = execs.(s) in
-      let words =
-        Context_scheduler.load_words_for_round ctx_plan ~app
-          ~cluster:e.cluster ~round:e.round
-      in
-      if words = 0 then []
-      else
+      match context_words ctx_plan e with
+      | 0 -> []
+      | words ->
         [
           Dma.context_load
-            ~kernel:(Printf.sprintf "Cl%d" e.cluster.Cluster.id)
+            ~kernel:(Printf.sprintf "Cl%d" (cluster_of e).Cluster.id)
             ~words;
         ]
   in
@@ -109,17 +118,19 @@ let build ?(cross_set = false) config app clustering ~rf ~ctx_plan ~generators
     let e = execs.(s) in
     let prep = stores_of (s - 1) @ loads_of (s + 1) @ ctx_of (s + 1) in
     let overlapped, deferred =
-      List.partition (can_overlap ~computing_set:e.cluster.Cluster.fb_set) prep
+      List.partition
+        (can_overlap ~computing_set:(cluster_of e).Cluster.fb_set)
+        prep
     in
     emit
       {
         Schedule.compute =
           Some
             {
-              Schedule.cluster = e.cluster;
+              Schedule.cluster = cluster_of e;
               round = e.round;
               iterations = e.iters;
-              compute_cycles = compute_cycles config app e;
+              compute_cycles = e.compute_cycles;
             };
         dma = overlapped;
         note = "";
@@ -134,69 +145,53 @@ let build ?(cross_set = false) config app clustering ~rf ~ctx_plan ~generators
     emit { Schedule.compute = None; dma = final_stores; note = "final drain" };
   {
     Schedule.scheduler;
-    app;
-    clustering;
+    app = analysis.Analysis.app;
+    clustering = analysis.Analysis.clustering;
     rf;
     cross_set;
     steps = List.rev !steps;
   }
 
-(* Exactly [Schedule_cost.estimate config (build ... ~generators)] for the
-   generators derived from [selectors], computed from per-execution
-   (cost, transfer-count) aggregates: an object contributes one instance
-   per iteration of the round (one total when invariant), and every
-   instance costs [dma_setup + words * per-word]. Replicates [build]'s step
-   structure — prime, per-execution overlap/stall partition, final drain —
-   without materialising any transfer list, so scheduler RF searches can
-   rank every candidate factor and build only the winner. *)
-let estimate (config : Morphosys.Config.t) app clustering ~rf ~ctx_plan
-    ~selectors =
+(* [build]'s step structure — prime, per-execution overlap/stall
+   partition, final drain — over per-execution (cost, transfer-count)
+   aggregates: an object contributes one instance per iteration of the
+   round (one total when invariant), each costing [Dma.words_cost]. *)
+let estimate (config : Morphosys.Config.t) analysis ~rf ~ctx_plan ~selectors =
   if rf < 1 then invalid_arg "Step_builder.estimate: rf must be >= 1";
-  let execs = Array.of_list (executions app clustering ~rf) in
+  let execs = executions config analysis ~rf in
   let s_max = Array.length execs in
-  let data_cost words =
-    config.Morphosys.Config.dma_setup_cycles
-    + (words * config.Morphosys.Config.data_cycles_per_word)
-  in
-  let agg objects ~iters =
-    List.fold_left
-      (fun (cost, count) (d : Kernel_ir.Data.t) ->
-        let inst = if d.Kernel_ir.Data.invariant then 1 else iters in
-        (cost + (inst * data_cost d.Kernel_ir.Data.size), count + inst))
-      (0, 0) objects
-  in
-  let loads =
-    Array.map
-      (fun e -> agg (selectors.load_objects e.cluster ~round:e.round) ~iters:e.iters)
-      execs
-  in
-  let stores =
+  let agg select direction =
     Array.map
       (fun e ->
-        agg (selectors.store_objects e.cluster ~round:e.round) ~iters:e.iters)
+        let c = cluster_of e in
+        let kind = Dma.Data { set = c.Cluster.fb_set; direction } in
+        List.fold_left
+          (fun (cost, count) (d : Data.t) ->
+            let inst = if d.Data.invariant then 1 else e.iters in
+            ( cost + (inst * Dma.words_cost config kind ~words:d.Data.size),
+              count + inst ))
+          (0, 0)
+          (select c ~round:e.round))
       execs
   in
+  let loads = agg selectors.load_objects Dma.Load in
+  let stores = agg selectors.store_objects Dma.Store in
   let ctx =
     Array.map
       (fun e ->
-        let words =
-          Context_scheduler.load_words_for_round ctx_plan ~app
-            ~cluster:e.cluster ~round:e.round
-        in
-        if words = 0 then (0, 0)
-        else
-          ( config.Morphosys.Config.dma_setup_cycles
-            + (words * config.Morphosys.Config.context_cycles_per_word),
-            1 ))
+        match context_words ctx_plan e with
+        | 0 -> 0
+        | words -> Dma.words_cost config Dma.Context ~words)
       execs
   in
   let get arr s = if s < 0 || s >= s_max then (0, 0) else arr.(s) in
-  let set_of s = execs.(s).cluster.Cluster.fb_set in
+  let ctx_cost s = if s >= s_max then 0 else ctx.(s) in
+  let set_of s = (cluster_of execs.(s)).Cluster.fb_set in
   (* prime step: pure DMA, nothing to overlap with *)
-  let total = ref (fst (get ctx 0) + fst (get loads 0)) in
+  let total = ref (ctx_cost 0 + fst (get loads 0)) in
   for s = 0 to s_max - 1 do
     let set = set_of s in
-    let ov = ref (fst (get ctx (s + 1))) in
+    let ov = ref (ctx_cost (s + 1)) in
     let def_cost = ref 0 and def_count = ref 0 in
     let route (cost, count) ~conflicts =
       if conflicts then begin
@@ -207,9 +202,27 @@ let estimate (config : Morphosys.Config.t) app clustering ~rf ~ctx_plan
     in
     route (get stores (s - 1)) ~conflicts:(s - 1 >= 0 && set_of (s - 1) = set);
     route (get loads (s + 1)) ~conflicts:(s + 1 < s_max && set_of (s + 1) = set);
-    total := !total + max !ov (compute_cycles config app execs.(s));
+    total := !total + max !ov execs.(s).compute_cycles;
     if !def_count > 0 then total := !total + !def_cost
   done;
   let drain_cost, drain_count = get stores (s_max - 1) in
   if drain_count > 0 then total := !total + drain_cost;
   !total
+
+let fastest ?cross_set config analysis ~rf_max ~ctx_plan ~scheduler select =
+  if rf_max < 1 then invalid_arg "Step_builder.fastest: rf_max must be >= 1";
+  let rf, (tag, selectors), cycles =
+    List.fold_left
+      (fun acc rf ->
+        let ((_, selectors) as choice) = select rf in
+        let cycles = estimate config analysis ~rf ~ctx_plan ~selectors in
+        match acc with
+        | Some (_, _, best_cycles) when best_cycles < cycles -> acc
+        | _ -> Some (rf, choice, cycles))
+      None
+      (List.init rf_max (fun i -> i + 1))
+    |> Option.get
+  in
+  Log.debug (fun m ->
+      m "chose rf=%d (%d cycles) out of rf_max=%d" rf cycles rf_max);
+  (build ?cross_set config analysis ~rf ~ctx_plan ~selectors ~scheduler, tag)

@@ -2,7 +2,7 @@
    ["basic"] must return the same schedule, or an error whose
    [Diag.to_string] is the same string. *)
 
-module IE = Kernel_ir.Info_extractor
+module IE = Info_extractor
 
 (* Per-cluster no-replacement footprints (one iteration). *)
 let footprints app clustering =
@@ -24,6 +24,8 @@ let schedule_reference config app clustering =
            fp config.Morphosys.Config.fb_set_size)
     | None ->
       Ok
-        (Sched.Step_builder.build config app clustering ~rf:1 ~ctx_plan
-           ~generators:(Xfer_gen.store_everything app clustering)
+        (Sched.Step_builder.build config
+           (Kernel_ir.Analysis.make app clustering)
+           ~rf:1 ~ctx_plan
+           ~selectors:(Selectors.store_everything app clustering)
            ~scheduler:"basic"))

@@ -5,10 +5,9 @@
    [Diag.to_string] is the same string. The scaling bench times the
    indexed path against this one. *)
 
-module IE = Kernel_ir.Info_extractor
+module IE = Info_extractor
 module Cluster = Kernel_ir.Cluster
 module Data = Kernel_ir.Data
-module Sharing = Cds.Sharing
 
 (* An object can have one retention candidate per FB set (the same shared
    datum may be retained in both sets), so the skip test quantifies over all
@@ -46,12 +45,9 @@ let selectors_of ~profile_of (decision : Cds.Retention.decision) =
   in
   { Sched.Step_builder.load_objects; store_objects }
 
-let generators_of ~profile_of decision =
-  Sched.Xfer_gen.generators_of_selectors (selectors_of ~profile_of decision)
-
-let generators app clustering decision =
+let selectors app clustering decision =
   let profiles = IE.profiles app clustering in
-  generators_of
+  selectors_of
     ~profile_of:(fun (c : Cluster.t) -> List.nth profiles c.Cluster.id)
     decision
 
@@ -76,6 +72,7 @@ let schedule_reference ?(retention = true) ?(cross_set = false)
            config.fb_set_size)
     | rf_max ->
       let scheduler_name = if cross_set then "cds-xset" else "cds" in
+      let analysis = Kernel_ir.Analysis.make app clustering in
       let candidate rf =
         let decision =
           if retention then
@@ -83,9 +80,8 @@ let schedule_reference ?(retention = true) ?(cross_set = false)
           else Cds.Retention.none
         in
         let schedule =
-          Sched.Step_builder.build ~cross_set config app clustering ~rf
-            ~ctx_plan
-            ~generators:(generators app clustering decision)
+          Sched.Step_builder.build ~cross_set config analysis ~rf ~ctx_plan
+            ~selectors:(selectors app clustering decision)
             ~scheduler:scheduler_name
         in
         (schedule, decision)

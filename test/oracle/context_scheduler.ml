@@ -56,5 +56,10 @@ let plan_sizes (config : Morphosys.Config.t) sizes :
 let plan_app (config : Morphosys.Config.t) app clustering =
   plan_sizes config
     (List.map
-       (fun c -> (c.Cluster.id, Sched.Context_scheduler.context_words app c))
+       (fun (c : Cluster.t) ->
+         ( c.Cluster.id,
+           Msutil.Listx.sum_by
+             (fun kid ->
+               (Kernel_ir.Application.kernel app kid).Kernel_ir.Kernel.contexts)
+             c.Cluster.kernels ))
        clustering)

@@ -3,7 +3,7 @@
    [Sched.Schedule_cost.estimate]. The registry's ["ds"] must return the
    same schedule, or an error whose [Diag.to_string] is the same string. *)
 
-module IE = Kernel_ir.Info_extractor
+module IE = Info_extractor
 
 let default_efficiency = Sched.Data_scheduler.default_efficiency
 
@@ -61,8 +61,9 @@ let schedule_reference ?(alloc_efficiency = default_efficiency) config app
            (Msutil.Listx.max_by (fun x -> x) (footprints app clustering))
            (packable_words alloc_efficiency config))
     | rf_max ->
+      let analysis = Kernel_ir.Analysis.make app clustering in
+      let selectors = Selectors.plain app clustering in
       Ok
         (best_by_rf config ~rf_max ~build:(fun rf ->
-             Sched.Step_builder.build config app clustering ~rf ~ctx_plan
-               ~generators:(Xfer_gen.plain app clustering)
+             Sched.Step_builder.build config analysis ~rf ~ctx_plan ~selectors
                ~scheduler:"ds")))

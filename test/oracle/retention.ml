@@ -4,10 +4,9 @@
    decision — retained and rejected lists, rejection strings, avoided
    totals — under every ranking. *)
 
-module IE = Kernel_ir.Info_extractor
+module IE = Info_extractor
 module Cluster = Kernel_ir.Cluster
 module Data = Kernel_ir.Data
-module Sharing = Cds.Sharing
 
 (* The objects occupying the cluster's set for its whole execution because
    of retention (a shared result at its own producer is excluded: the

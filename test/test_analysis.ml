@@ -5,7 +5,7 @@
    same retention decisions (including rejection strings) and same
    schedules. The scaling benchmark's speedup claim rests on this. *)
 
-module IE = Kernel_ir.Info_extractor
+module IE = Oracle.Info_extractor
 module Analysis = Kernel_ir.Analysis
 module Application = Kernel_ir.Application
 module Cluster = Kernel_ir.Cluster
@@ -46,7 +46,7 @@ let test_profiles_match_reference () =
   let a = Analysis.make app clustering in
   Alcotest.(check bool)
     "profiles" true
-    (Analysis.profiles_list a = IE.profiles app clustering);
+    (Array.to_list a.Analysis.profiles = IE.profiles app clustering);
   Alcotest.(check bool)
     "sharing" true
     (Analysis.sharing a = IE.sharing app clustering)
@@ -78,7 +78,7 @@ let test_bad_clustering_backstop () =
 let prop_structures (app, clustering) =
   let a = Analysis.make app clustering in
   let ok name b = if b then true else QCheck.Test.fail_reportf "%s differ" name in
-  ok "profiles" (Analysis.profiles_list a = IE.profiles app clustering)
+  ok "profiles" (Array.to_list a.Analysis.profiles = IE.profiles app clustering)
   && ok "sharing" (Analysis.sharing a = IE.sharing app clustering)
   && ok "tds" (Analysis.tds a = Application.total_data_words app)
   && List.for_all
@@ -101,7 +101,7 @@ let prop_candidates (app, clustering) =
     (fun cross_set ->
       if
         Cds.Sharing.candidates_ctx ~cross_set a
-        = Cds.Sharing.candidates ~cross_set app clustering
+        = Oracle.Sharing.candidates ~cross_set app clustering
       then true
       else
         QCheck.Test.fail_reportf "candidates differ (cross_set=%b)" cross_set)
@@ -126,7 +126,7 @@ let prop_splits (app, clustering) =
           || QCheck.Test.fail_reportf "split mismatch, cluster %d"
                p.IE.cluster.Cluster.id)
         pinned_sets)
-    (Analysis.profiles_list a)
+    (Array.to_list a.Analysis.profiles)
 
 (* The incremental retention pass must reproduce the reference decision —
    retained and rejected lists, rejection strings, avoided totals — for
@@ -204,26 +204,21 @@ let prop_estimate (app, clustering) =
   | Ok ctx_plan ->
     let shapes =
       [
-        ( "plain",
-          Sched.Xfer_gen.plain_selectors_ctx a,
-          Sched.Xfer_gen.plain_ctx a );
-        ( "store_everything",
-          Sched.Xfer_gen.store_everything_selectors_ctx a,
-          Sched.Xfer_gen.store_everything_ctx a );
+        ("plain", Sched.Data_scheduler.selectors a);
+        ("store_everything", Sched.Basic_scheduler.selectors a);
       ]
     in
     List.for_all
       (fun rf ->
         List.for_all
-          (fun (name, selectors, generators) ->
+          (fun (name, selectors) ->
             let estimated =
-              Sched.Step_builder.estimate config app clustering ~rf ~ctx_plan
-                ~selectors
+              Sched.Step_builder.estimate config a ~rf ~ctx_plan ~selectors
             in
             let built =
               Sched.Schedule_cost.estimate config
-                (Sched.Step_builder.build config app clustering ~rf ~ctx_plan
-                   ~generators ~scheduler:"test")
+                (Sched.Step_builder.build config a ~rf ~ctx_plan ~selectors
+                   ~scheduler:"test")
             in
             if estimated = built then true
             else

@@ -2,7 +2,8 @@
    ranking, and the greedy retention pass. *)
 
 open Cds
-module IE = Kernel_ir.Info_extractor
+module IE = Oracle.Info_extractor
+module Sharing = Oracle.Sharing
 module Data = Kernel_ir.Data
 module Fb = Morphosys.Frame_buffer
 

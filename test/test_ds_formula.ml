@@ -1,5 +1,5 @@
 open Kernel_ir
-module IE = Info_extractor
+module IE = Oracle.Info_extractor
 
 (* the list-based reference forms of DS(C) *)
 module Ref = Oracle.Ds_formula

@@ -1,5 +1,5 @@
 open Kernel_ir
-module IE = Info_extractor
+module IE = Oracle.Info_extractor
 
 let names = List.map (fun (d : Data.t) -> d.Data.name)
 

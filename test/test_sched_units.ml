@@ -33,16 +33,16 @@ let test_context_plan_pins_everything_when_roomy () =
   let app = Fixtures.toy () in
   let clustering = Fixtures.toy_clustering app in
   let config = Morphosys.Config.make ~fb_set_size:1024 ~cm_capacity:4096 () in
-  match CS.plan_of_analysis config (Kernel_ir.Analysis.make app clustering) with
+  let analysis = Kernel_ir.Analysis.make app clustering in
+  match CS.plan_of_analysis config analysis with
   | Error e -> Alcotest.fail (Diag.to_string e)
   | Ok plan ->
+    let profile = Kernel_ir.Analysis.profile analysis 0 in
     Alcotest.(check (list int)) "all pinned" [ 0; 1 ] plan.CS.pinned;
     Alcotest.(check int) "round 0 loads" 200
-      (CS.load_words_for_round plan ~app
-         ~cluster:(Kernel_ir.Cluster.find clustering 0) ~round:0);
+      (CS.load_words_for_round plan ~profile ~round:0);
     Alcotest.(check int) "later rounds free" 0
-      (CS.load_words_for_round plan ~app
-         ~cluster:(Kernel_ir.Cluster.find clustering 0) ~round:3)
+      (CS.load_words_for_round plan ~profile ~round:3)
 
 let test_context_plan_reloads_under_pressure () =
   let app = Fixtures.toy () in
@@ -50,13 +50,14 @@ let test_context_plan_reloads_under_pressure () =
   (* each cluster needs 200 context words; a 399-word CM cannot hold both,
      so neither can be pinned and both reload every round *)
   let config = Morphosys.Config.make ~fb_set_size:1024 ~cm_capacity:399 () in
-  match CS.plan_of_analysis config (Kernel_ir.Analysis.make app clustering) with
+  let analysis = Kernel_ir.Analysis.make app clustering in
+  match CS.plan_of_analysis config analysis with
   | Error e -> Alcotest.fail (Diag.to_string e)
   | Ok plan ->
     Alcotest.(check (list int)) "nothing pinned" [ 0; 1 ] plan.CS.reloaded;
     Alcotest.(check int) "reload every round" 200
-      (CS.load_words_for_round plan ~app
-         ~cluster:(Kernel_ir.Cluster.find clustering 1) ~round:5)
+      (CS.load_words_for_round plan
+         ~profile:(Kernel_ir.Analysis.profile analysis 1) ~round:5)
 
 let test_context_plan_infeasible () =
   let app = Fixtures.toy () in

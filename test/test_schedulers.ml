@@ -88,26 +88,18 @@ let test_cds_retention_same_set () =
 
 let test_basic_infeasible_when_tight () =
   let ctx, _ = toy_setup () in
-  (* basic needs 245 words; ds only 220 *)
+  (* basic needs 245 words; DS(C) is only 220, which CDS packs whole *)
   let config = Morphosys.Config.m1 ~fb_set_size:230 in
   Alcotest.(check bool) "basic rejected" true
     (Result.is_error (Sched.Basic_scheduler.run ctx config));
-  Alcotest.(check bool) "ds still fine" true
-    (Result.is_ok
-       (Sched.Data_scheduler.run_with ~alloc_efficiency:1.0 ctx config))
+  Alcotest.(check bool) "cds still fine" true
+    (Result.is_ok (Cds.Complete_data_scheduler.run ctx config))
 
 let test_ds_infeasible_when_tighter () =
   let ctx, _ = toy_setup () in
   let config = Morphosys.Config.m1 ~fb_set_size:210 in
   Alcotest.(check bool) "ds rejected" true
-    (Result.is_error
-       (Sched.Data_scheduler.run_with ~alloc_efficiency:1.0 ctx config))
-
-let test_alloc_efficiency_validation () =
-  let ctx, config = toy_setup () in
-  match Sched.Data_scheduler.run_with ~alloc_efficiency:1.5 ctx config with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected efficiency validation"
+    (Result.is_error (Sched.Data_scheduler.run ctx config))
 
 let test_overlap_metrics () =
   let ctx, config = toy_setup () in
@@ -163,7 +155,8 @@ let prop_ablated_cds_equals_ds =
       let config = Fixtures.big_config in
       let ctx = Sched.Sched_ctx.make app clustering in
       match
-        ( Sched.Data_scheduler.run_with ~alloc_efficiency:1.0 ctx config,
+        ( Oracle.Data_scheduler.schedule_reference ~alloc_efficiency:1.0
+            config app clustering,
           Cds.Complete_data_scheduler.run_full ~retention:false ctx config )
       with
       | Ok d, Ok c ->
@@ -186,8 +179,6 @@ let tests =
         test_basic_infeasible_when_tight;
       Alcotest.test_case "ds infeasible when tighter" `Quick
         test_ds_infeasible_when_tighter;
-      Alcotest.test_case "alloc efficiency validation" `Quick
-        test_alloc_efficiency_validation;
       Alcotest.test_case "overlap metrics" `Quick test_overlap_metrics;
       QCheck_alcotest.to_alcotest prop_scheduler_ordering;
       QCheck_alcotest.to_alcotest prop_schedules_validate;

@@ -86,11 +86,11 @@ let test_rf_validation () =
   let clustering = Fixtures.toy_clustering app in
   let analysis = Kernel_ir.Analysis.make app clustering in
   match
-    Sched.Step_builder.build config app clustering ~rf:0
+    Sched.Step_builder.build config analysis ~rf:0
       ~ctx_plan:
         (Result.get_ok
            (Sched.Context_scheduler.plan_of_analysis config analysis))
-      ~generators:(Sched.Xfer_gen.plain_ctx analysis)
+      ~selectors:(Sched.Data_scheduler.selectors analysis)
       ~scheduler:"x"
   with
   | exception Invalid_argument _ -> ()
@@ -101,25 +101,36 @@ let test_xfer_gen_plain_vs_store_everything () =
   let clustering = Fixtures.toy_clustering app in
   let c0 = Kernel_ir.Cluster.find clustering 0 in
   let analysis = Kernel_ir.Analysis.make app clustering in
-  let plain = Sched.Xfer_gen.plain_ctx analysis in
-  let all = Sched.Xfer_gen.store_everything_ctx analysis in
-  let words gens =
-    Msutil.Listx.sum_by
-      (fun (tr : Dma.t) -> tr.Dma.words)
-      (gens.Sched.Step_builder.stores c0 ~round:0 ~iters:1 ~base_iter:0)
-  in
+  let plain = Sched.Data_scheduler.selectors analysis in
+  let all = Sched.Basic_scheduler.selectors analysis in
+  let size_sum = Msutil.Listx.sum_by (fun (d : Kernel_ir.Data.t) -> d.size) in
+  let words sel = size_sum (sel.Sched.Step_builder.store_objects c0 ~round:0) in
   (* cluster 0 outliving = r03 + f1 = 55; plus intermediate r01 (40) when
      storing everything *)
   Alcotest.(check int) "plain stores outliving" 55 (words plain);
   Alcotest.(check int) "basic stores everything" 95 (words all);
-  (* loads are identical *)
-  let load_words gens =
-    Msutil.Listx.sum_by
-      (fun (tr : Dma.t) -> tr.Dma.words)
-      (gens.Sched.Step_builder.loads c0 ~round:0 ~iters:2 ~base_iter:0)
+  (* loads are identical; at rf=2 the priming step loads one instance per
+     iteration of each of cluster 0's inputs *)
+  let ctx_plan =
+    Result.get_ok (Sched.Context_scheduler.plan_of_analysis config analysis)
+  in
+  let primed_loads selectors =
+    let s =
+      Sched.Step_builder.build config analysis ~rf:2 ~ctx_plan ~selectors
+        ~scheduler:"x"
+    in
+    List.filter
+      (fun (tr : Dma.t) -> Dma.is_data tr.Dma.kind)
+      (List.hd s.Schedule.steps).Schedule.dma
+  in
+  let load_words sel =
+    Msutil.Listx.sum_by (fun (tr : Dma.t) -> tr.Dma.words) (primed_loads sel)
   in
   Alcotest.(check int) "same loads" (load_words plain) (load_words all);
-  Alcotest.(check int) "two iterations of a+b" 300 (load_words plain)
+  Alcotest.(check int) "two iterations of a+b" 300 (load_words plain);
+  Alcotest.(check (list string)) "labelled per iteration"
+    [ "a@0"; "a@1"; "b@0"; "b@1" ]
+    (List.map (fun (tr : Dma.t) -> tr.Dma.label) (primed_loads plain))
 
 (* The scheduler-side cost estimate is exactly the simulator's total. *)
 let prop_cost_estimate_equals_executor =
@@ -154,10 +165,8 @@ let test_context_partial_pinning () =
   in
   let clustering = Kernel_ir.Cluster.singleton_per_kernel app in
   let config = Morphosys.Config.make ~fb_set_size:1024 ~cm_capacity:240 () in
-  match
-    Sched.Context_scheduler.plan_of_analysis config
-      (Kernel_ir.Analysis.make app clustering)
-  with
+  let analysis = Kernel_ir.Analysis.make app clustering in
+  match Sched.Context_scheduler.plan_of_analysis config analysis with
   | Error e -> Alcotest.fail (Diag.to_string e)
   | Ok plan ->
     Alcotest.(check (list int)) "the big cluster is pinned" [ 0 ]
@@ -166,8 +175,8 @@ let test_context_partial_pinning () =
       plan.Sched.Context_scheduler.reloaded;
     let pinned_cluster = List.hd plan.Sched.Context_scheduler.pinned in
     Alcotest.(check int) "pinned loads once" 0
-      (Sched.Context_scheduler.load_words_for_round plan ~app
-         ~cluster:(Kernel_ir.Cluster.find clustering pinned_cluster)
+      (Sched.Context_scheduler.load_words_for_round plan
+         ~profile:(Kernel_ir.Analysis.profile analysis pinned_cluster)
          ~round:2)
 
 let tests =
