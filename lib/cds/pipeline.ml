@@ -26,85 +26,58 @@ let run ?(validate = true) ?(retention = true) ?(cross_set = false)
     ?(degrade = false) ?(ladder = default_ladder) config app clustering =
   (* one analysis context serves every scheduler in the registry *)
   let ctx = Sched.Sched_ctx.make app clustering in
-  if not degrade then
-    let basic =
-      Result.map
-        (simulate ~validate config)
-        (Result.map_error Diag.to_string
-           (Sched.Scheduler_registry.run "basic" ctx config))
-    in
-    let ds =
-      Result.map
-        (simulate ~validate config)
-        (Result.map_error Diag.to_string
-           (Sched.Scheduler_registry.run "ds" ctx config))
-    in
-    let cds =
-      Result.map
-        (fun (r : Complete_data_scheduler.result) ->
-          (simulate ~validate config r.Complete_data_scheduler.schedule, r))
-        (Result.map_error Diag.to_string
-           (Complete_data_scheduler.run_full ~retention ~cross_set ctx config))
-    in
-    { app; config; clustering; basic; ds; cds; degradation = None }
-  else
-    (* Graceful mode: nothing raises. Validation failures (and any other
-       exception a tier's path throws) become that tier's diagnostic and
-       the comparison records the degradation chain down the ladder
-       (default CDS -> DS -> Basic). *)
-    let sim ~scheduler schedule =
+  (* In graceful mode nothing raises: a validation failure (or any other
+     exception a tier's simulation throws) becomes that tier's diagnostic,
+     and the comparison records the degradation chain down the ladder
+     (default CDS -> DS -> Basic). *)
+  let sim ~scheduler schedule =
+    if degrade then
       Diag.protect ~scheduler ~code:Diag.Sim_divergence (fun () ->
           simulate ~validate config schedule)
-    in
-    let basic_d =
-      Result.bind
-        (Sched.Scheduler_registry.run "basic" ctx config)
-        (sim ~scheduler:"basic")
-    in
-    let ds_d =
-      Result.bind
-        (Sched.Scheduler_registry.run "ds" ctx config)
-        (sim ~scheduler:"ds")
-    in
-    let cds_d =
-      Result.bind
-        (Complete_data_scheduler.run_full ~retention ~cross_set ctx config)
-        (fun (r : Complete_data_scheduler.result) ->
-          Result.map
-            (fun s -> (s, r))
-            (sim ~scheduler:"cds" r.Complete_data_scheduler.schedule))
-    in
-    (* The three standard tiers above are reused when the ladder names
-       them; any other name dispatches through the registry, so a custom
-       ladder (say ["cds-xset"; "ds"]) degrades — and reports — exactly
-       the tiers the caller asked for. *)
-    let attempt name =
-      match name with
-      | "basic" -> basic_d
-      | "ds" -> ds_d
-      | "cds" -> Result.map fst cds_d
-      | _ ->
-        Result.bind
-          (Sched.Scheduler_registry.run name ctx config)
-          (sim ~scheduler:name)
-    in
-    let rec walk acc = function
-      | [] -> { delivered = None; chain = List.rev acc; fallback = None }
-      | name :: rest -> (
-        match attempt name with
-        | Ok s ->
-          { delivered = Some name; chain = List.rev acc; fallback = Some s }
-        | Error d -> walk ((name, d) :: acc) rest)
-    in
-    {
-      app;
-      config;
-      clustering;
-      basic = Result.map_error Diag.to_string basic_d;
-      ds = Result.map_error Diag.to_string ds_d;
-      cds = Result.map_error Diag.to_string cds_d;
-      degradation = Some (walk [] ladder);
-    }
+    else Ok (simulate ~validate config schedule)
+  in
+  let tier name =
+    Result.bind
+      (Sched.Scheduler_registry.run name ctx config)
+      (sim ~scheduler:name)
+  in
+  let basic = tier "basic" in
+  let ds = tier "ds" in
+  let cds =
+    Result.bind
+      (Complete_data_scheduler.run_full ~retention ~cross_set ctx config)
+      (fun (r : Complete_data_scheduler.result) ->
+        Result.map
+          (fun s -> (s, r))
+          (sim ~scheduler:"cds" r.Complete_data_scheduler.schedule))
+  in
+  (* The three standard tiers above are reused when the ladder names
+     them; any other name dispatches through the registry, so a custom
+     ladder (say ["cds-xset"; "ds"]) degrades — and reports — exactly
+     the tiers the caller asked for. *)
+  let attempt = function
+    | "basic" -> basic
+    | "ds" -> ds
+    | "cds" -> Result.map fst cds
+    | name -> tier name
+  in
+  let rec walk acc = function
+    | [] -> { delivered = None; chain = List.rev acc; fallback = None }
+    | name :: rest -> (
+      match attempt name with
+      | Ok s ->
+        { delivered = Some name; chain = List.rev acc; fallback = Some s }
+      | Error d -> walk ((name, d) :: acc) rest)
+  in
+  {
+    app;
+    config;
+    clustering;
+    basic = Result.map_error Diag.to_string basic;
+    ds = Result.map_error Diag.to_string ds;
+    cds = Result.map_error Diag.to_string cds;
+    degradation = (if degrade then Some (walk [] ladder) else None);
+  }
 
 let degraded_schedule t =
   match t.degradation with
@@ -146,8 +119,8 @@ let dt_words t =
     Some r.Complete_data_scheduler.data_words_avoided_per_iteration
   | Error _ -> None
 
-let auto_clustering ?store ?(scheduler = "cds") config app =
-  let compute clustering =
+let auto_clustering ?(scheduler = "cds") config app =
+  let eval clustering =
     match
       Sched.Scheduler_registry.run scheduler
         (Sched.Sched_ctx.make app clustering)
@@ -155,37 +128,6 @@ let auto_clustering ?store ?(scheduler = "cds") config app =
     with
     | Ok s -> Some (Msim.Executor.run config s).Msim.Metrics.total_cycles
     | Error _ -> None
-  in
-  let eval clustering =
-    match store with
-    | None -> compute clustering
-    | Some store -> (
-      (* Memoise each candidate's simulated cycle count in the result
-         store, so re-running the search after a crash (or in a later
-         session) only schedules clusterings it has not seen. Anything
-         that goes wrong with the store — an unmarshalable key, a
-         corrupt payload — degrades to recomputation. *)
-      match
-        Engine.Key.digest_value_result (app, clustering, config, scheduler)
-      with
-      | Error _ -> compute clustering
-      | Ok digest -> (
-        let key = Engine.Key.combine [ "auto-clustering"; digest ] in
-        let cached =
-          match Engine.Store.find store key with
-          | None -> None
-          | Some payload -> (
-            match (Marshal.from_string payload 0 : int option) with
-            | cycles -> Some cycles
-            | exception _ -> None)
-        in
-        match cached with
-        | Some cycles -> cycles
-        | None ->
-          let cycles = compute clustering in
-          Engine.Store.append store ~key
-            ~payload:(Marshal.to_string (cycles : int option) []);
-          cycles))
   in
   Sched.Kernel_scheduler.best app ~eval
 

@@ -1,4 +1,3 @@
-module IE = Kernel_ir.Info_extractor
 module Cluster = Kernel_ir.Cluster
 module Data = Kernel_ir.Data
 
@@ -49,143 +48,10 @@ let effective_avoided ~rf ~iterations (candidate : Sharing.t) =
     d.Data.size * (loads_without - 1) / iterations
   else candidate.Sharing.avoided_words
 
-(* Per-cluster incremental DS-split state. A pinned object is always a
-   cluster *input* over the affected window — never one of the cluster's
-   intermediates, and never the producer's own rout (pins_cluster excludes
-   the producer) — so pinning only (a) removes the object's words from the
-   d-suffix term of the closed-form peak at its last-consumer position and
-   (b) adds them to the constant or regular pinned sum. Keeping the sweep
-   arrays of [Ds_formula.closed_form_fast] per cluster therefore turns a
-   tentative-pin split query into an O(cluster kernels) scan with no
-   allocation, instead of a from-scratch profile walk. *)
-type cluster_state = {
-  nk : int;
-  rp_inter : int array;
-      (* rout prefix + live intermediate words, by kernel position *)
-  d_suffix : int array;  (* suffix sums of unstripped d_object words *)
-  last_pos : (int, int) Hashtbl.t;  (* input id -> last consumer position *)
-  stripped : (int, unit) Hashtbl.t;  (* ids removed from [d_suffix] *)
-  const_ids : (int, unit) Hashtbl.t;  (* the deduped constants set *)
-  mutable const_words : int;
-  mutable reg_words : int;  (* regular pinned words (list sum) *)
-}
-
-let cluster_state_of (profile : IE.cluster_profile) =
-  let kps = profile.IE.kernel_profiles in
-  let nk = List.length kps in
-  let pos_of = Hashtbl.create (max 8 (nk * 2)) in
-  List.iteri
-    (fun pos k -> Hashtbl.replace pos_of k pos)
-    profile.IE.cluster.Cluster.kernels;
-  let last_pos = Hashtbl.create 16 in
-  let stripped = Hashtbl.create 8 in
-  let const_ids = Hashtbl.create 8 in
-  let const_words = ref 0 in
-  let d_arr = Array.make (nk + 1) 0 in
-  let rout = Array.make (nk + 1) 0 in
-  let diff = Array.make (nk + 1) 0 in
-  List.iteri
-    (fun pos (p : IE.kernel_profile) ->
-      List.iter
-        (fun (d : Data.t) ->
-          Hashtbl.replace last_pos d.Data.id pos;
-          if d.Data.invariant then begin
-            (* invariant inputs are constants from the start: stripped from
-               the per-iteration peak, charged once as constant words *)
-            Hashtbl.replace stripped d.Data.id ();
-            if not (Hashtbl.mem const_ids d.Data.id) then begin
-              Hashtbl.add const_ids d.Data.id ();
-              const_words := !const_words + d.Data.size
-            end
-          end
-          else d_arr.(pos) <- d_arr.(pos) + d.Data.size)
-        p.IE.d_objects;
-      rout.(pos) <- IE.rout_words p;
-      List.iter
-        (fun ((d : Data.t), t) ->
-          let t_pos =
-            match Hashtbl.find_opt pos_of t with
-            | Some pos -> pos
-            | None -> assert false (* t is in the cluster by construction *)
-          in
-          diff.(pos) <- diff.(pos) + d.Data.size;
-          diff.(t_pos + 1) <- diff.(t_pos + 1) - d.Data.size)
-        p.IE.intermediate_objects)
-    kps;
-  for i = nk - 1 downto 0 do
-    d_arr.(i) <- d_arr.(i) + d_arr.(i + 1)
-  done;
-  let rp_inter = Array.make (nk + 1) 0 in
-  let rout_prefix = ref 0 and inter = ref 0 in
-  for i = 0 to nk - 1 do
-    rout_prefix := !rout_prefix + rout.(i);
-    inter := !inter + diff.(i);
-    rp_inter.(i) <- !rout_prefix + !inter
-  done;
-  {
-    nk;
-    rp_inter;
-    d_suffix = d_arr;
-    last_pos;
-    stripped;
-    const_ids;
-    const_words = !const_words;
-    reg_words = 0;
-  }
-
-(* Peak of the per-iteration residency, optionally with [delta] words
-   removed from positions [<= delta_pos] (the tentative strip). *)
-let peak st ~delta_pos ~delta =
-  let best = ref 0 in
-  for i = 0 to st.nk - 1 do
-    let v =
-      st.d_suffix.(i) - (if i <= delta_pos then delta else 0) + st.rp_inter.(i)
-    in
-    if v > !best then best := v
-  done;
-  !best
-
-let strip_of st (d : Data.t) =
-  match Hashtbl.find_opt st.last_pos d.Data.id with
-  | Some p when not (Hashtbl.mem st.stripped d.Data.id) -> (p, d.Data.size)
-  | _ -> (-1, 0)
-
-let current_split st =
-  (peak st ~delta_pos:(-1) ~delta:0 + st.reg_words, st.const_words)
-
-(* (per_iteration, constant) if [d] were pinned on top of the current
-   state — the same integers [Ds_formula.split_fast] yields for the
-   extended pinned list. *)
-let tentative_split st (d : Data.t) =
-  let delta_pos, delta = strip_of st d in
-  if d.Data.invariant then
-    let const =
-      if Hashtbl.mem st.const_ids d.Data.id then st.const_words
-      else st.const_words + d.Data.size
-    in
-    (peak st ~delta_pos ~delta + st.reg_words, const)
-  else (peak st ~delta_pos ~delta + st.reg_words + d.Data.size, st.const_words)
-
-let commit_pin st (d : Data.t) =
-  (match strip_of st d with
-  | -1, _ -> ()
-  | p, size ->
-    Hashtbl.add st.stripped d.Data.id ();
-    for i = 0 to p do
-      st.d_suffix.(i) <- st.d_suffix.(i) - size
-    done);
-  if d.Data.invariant then begin
-    if not (Hashtbl.mem st.const_ids d.Data.id) then begin
-      Hashtbl.add st.const_ids d.Data.id ();
-      st.const_words <- st.const_words + d.Data.size
-    end
-  end
-  else st.reg_words <- st.reg_words + d.Data.size
-
-(* The greedy pass. Each candidate's feasibility check runs on the
-   incremental per-cluster state above instead of re-deriving every
-   affected cluster's pinned set and DS split from scratch. Rejected
-   candidates never touch the state, so cached splits stay exact. *)
+(* The greedy pass. Each candidate's feasibility check queries the
+   per-cluster DS(C) sweeps instead of re-deriving every affected
+   cluster's pinned set and split from scratch. Rejected candidates never
+   pin, so the sweeps stay exact. *)
 let choose_ctx ?(cross_set = false) ?(ranking = `Tf)
     (config : Morphosys.Config.t) (ctx : Sched.Sched_ctx.t) ~rf =
   if rf < 1 then invalid_arg "Retention.choose_ctx: rf must be >= 1";
@@ -206,9 +72,9 @@ let choose_ctx ?(cross_set = false) ?(ranking = `Tf)
       order ranking ~tds (Sharing.candidates_ctx ~cross_set analysis)
   in
   let n = Kernel_ir.Analysis.n_clusters analysis in
-  let states =
+  let sweeps =
     Array.init n (fun id ->
-        cluster_state_of (Kernel_ir.Analysis.profile analysis id))
+        Sched.Ds_formula.split_sweep (Kernel_ir.Analysis.profile analysis id))
   in
   (* Same-set clusters the candidate occupies space during (its window, or
      every cluster for an invariant table), in ascending id, so a rejection
@@ -229,8 +95,8 @@ let choose_ctx ?(cross_set = false) ?(ranking = `Tf)
       (fun id ->
         let per_iteration, constant =
           if Sharing.pins_cluster candidate ~cluster_id:id then
-            tentative_split states.(id) d
-          else current_split states.(id)
+            Sched.Ds_formula.split_if_pinned sweeps.(id) d
+          else Sched.Ds_formula.split sweeps.(id)
         in
         if (rf * per_iteration) + constant > config.fb_set_size then
           Some
@@ -247,7 +113,7 @@ let choose_ctx ?(cross_set = false) ?(ranking = `Tf)
     List.iter
       (fun id ->
         if Sharing.pins_cluster candidate ~cluster_id:id then
-          commit_pin states.(id) d)
+          Sched.Ds_formula.pin sweeps.(id) d)
       (affected_ids candidate)
   in
   let retained, rejected =

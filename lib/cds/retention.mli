@@ -29,10 +29,12 @@ val choose_ctx :
   decision
 (** The retention decision at reuse factor [rf] (default ranking [`Tf]),
     computed incrementally over a precomputed scheduling context: each
-    cluster keeps the sweep arrays of the DS closed form, pins update them
-    in place, and a candidate's feasibility is an O(cluster kernels) query
-    instead of a from-scratch profile walk. A rejected candidate carries
-    the first same-set cluster, by id, that it would overflow.
+    cluster keeps one {!Sched.Ds_formula.split_sweep}, a candidate's
+    feasibility is {!Sched.Ds_formula.split_if_pinned} on every affected
+    cluster it pins ({!Sched.Ds_formula.split} on the others), and an
+    accepted candidate goes through {!Sched.Ds_formula.pin} there. A
+    rejected candidate carries the first same-set cluster, by id, that it
+    would overflow.
     @raise Invalid_argument if [rf < 1]. *)
 
 val none : decision

@@ -16,9 +16,9 @@ type t = {
 let fail fmt = Format.kasprintf invalid_arg fmt
 
 (* The whole module indexes by cluster id, so the ids must be the positions
-   0..n-1 — exactly what [Cluster.validate] checks. We re-check here so a
-   hand-built clustering that skipped validation fails loudly instead of
-   silently reading the wrong profile (the failure mode of the old
+   0..n-1 — one of the rules [Cluster.violations] states. We re-check here
+   so a hand-built clustering that skipped validation fails loudly instead
+   of silently reading the wrong profile (the failure mode of the old
    [List.nth profiles cluster.id] convention). *)
 let clusters_array clustering =
   let clusters = Array.of_list clustering in
@@ -28,7 +28,7 @@ let clusters_array clustering =
       if c.Cluster.id <> i then
         fail
           "Analysis.make: cluster ids are not consecutive (cluster at \
-           position %d has id %d; run Cluster.validate)"
+           position %d has id %d; run Cluster.violations)"
           i c.Cluster.id)
     clusters;
   clusters

@@ -37,7 +37,7 @@ type t = private {
 val make : Application.t -> Cluster.clustering -> t
 (** Builds the context in near-linear time.
     @raise Invalid_argument when cluster ids are not consecutive positions
-    (the [Cluster.validate] invariant — the error says so explicitly), when
+    (a {!Cluster.violations} rule — the error says so explicitly), when
     a kernel is covered by zero or two clusters, or when data ids collide. *)
 
 val n_clusters : t -> int

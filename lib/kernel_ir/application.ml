@@ -5,43 +5,12 @@ type t = {
   iterations : int;
 }
 
-let fail fmt = Format.kasprintf invalid_arg fmt
-
-let check_unique what names =
-  let sorted = List.sort String.compare names in
-  let rec loop = function
-    | a :: (b :: _ as rest) ->
-      if String.equal a b then fail "Application.make: duplicate %s name %S" what a
-      else loop rest
-    | _ -> ()
-  in
-  loop sorted
-
 let make ~name ~kernels ~data ~iterations =
-  if iterations <= 0 then fail "Application.make: iterations must be positive";
-  if kernels = [] then fail "Application.make: no kernels";
-  List.iteri
-    (fun i (k : Kernel.t) ->
-      if k.id <> i then
-        fail "Application.make: kernel %S has id %d at position %d" k.name k.id i)
-    kernels;
-  check_unique "kernel" (List.map (fun (k : Kernel.t) -> k.name) kernels);
-  check_unique "data" (List.map (fun (d : Data.t) -> d.name) data);
-  let n = List.length kernels in
-  let check_kid what (d : Data.t) kid =
-    if kid < 0 || kid >= n then
-      fail "Application.make: data %S references unknown %s kernel %d" d.name
-        what kid
-  in
-  List.iter
-    (fun (d : Data.t) ->
-      (match d.producer with
-      | Data.External -> ()
-      | Data.Produced_by k -> check_kid "producer" d k);
-      List.iter (check_kid "consumer" d) d.consumers)
-    data;
-  let data = List.sort (fun (a : Data.t) b -> compare a.id b.id) data in
-  { name; kernels = Array.of_list kernels; data; iterations }
+  match Validate.application ~name ~kernels ~data ~iterations with
+  | d :: _ -> invalid_arg ("Application.make: " ^ d.Diag.message)
+  | [] ->
+    let data = List.sort (fun (a : Data.t) b -> compare a.id b.id) data in
+    { name; kernels = Array.of_list kernels; data; iterations }
 
 let n_kernels t = Array.length t.kernels
 

@@ -13,11 +13,9 @@ type t = private {
 
 val make :
   name:string -> kernels:Kernel.t list -> data:Data.t list -> iterations:int -> t
-(** Validates the whole application:
-    kernel ids are exactly [0 .. len-1] in order, kernel and data names are
-    unique, every consumer/producer id refers to an existing kernel,
-    [iterations > 0].
-    @raise Invalid_argument with a diagnostic otherwise. *)
+(** Builds the application, data sorted by id.
+    @raise Invalid_argument carrying the first {!Validate.application}
+    violation of the input. *)
 
 val n_kernels : t -> int
 val kernel : t -> Kernel.id -> Kernel.t

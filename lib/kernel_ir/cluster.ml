@@ -6,15 +6,9 @@ type clustering = t list
 let set_of_index i = if i mod 2 = 0 then Fb.Set_a else Fb.Set_b
 
 let of_partition app sizes =
-  let n = Application.n_kernels app in
-  if List.exists (fun s -> s <= 0) sizes then
-    invalid_arg "Cluster.of_partition: non-positive cluster size";
-  if Msutil.Listx.sum sizes <> n then
-    invalid_arg
-      (Printf.sprintf
-         "Cluster.of_partition: sizes sum to %d but the application has %d \
-          kernels"
-         (Msutil.Listx.sum sizes) n);
+  (match Validate.partition ~n_kernels:(Application.n_kernels app) sizes with
+  | d :: _ -> invalid_arg ("Cluster.of_partition: " ^ d.Diag.message)
+  | [] -> ());
   let rec loop id start = function
     | [] -> []
     | size :: rest ->
@@ -32,20 +26,37 @@ let singleton_per_kernel app =
 
 let whole_application app = of_partition app [ Application.n_kernels app ]
 
-let validate app clustering =
+let violations app clustering =
   let n = Application.n_kernels app in
-  let all = List.concat_map (fun c -> c.kernels) clustering in
-  let expected = List.init n (fun i -> i) in
-  if all <> expected then Error "clusters do not cover the kernel sequence"
-  else if
-    List.exists
-      (fun c -> c.fb_set <> set_of_index c.id)
-      clustering
-  then Error "cluster set assignment does not alternate"
-  else if
-    List.mapi (fun i c -> c.id = i) clustering |> List.exists not
-  then Error "cluster ids are not consecutive"
-  else Ok ()
+  let covered = List.concat_map (fun c -> c.kernels) clustering in
+  List.concat
+    [
+      (if covered <> List.init n Fun.id then
+         [
+           Diag.v Diag.Invalid_clustering
+             "clusters do not cover the kernel sequence 0..%d in order" (n - 1);
+         ]
+       else []);
+      List.concat
+        (List.mapi
+           (fun i c ->
+             if c.id <> i then
+               [
+                 Diag.v ~cluster:c.id Diag.Invalid_clustering
+                   "cluster ids are not consecutive (id %d at position %d)" c.id
+                   i;
+               ]
+             else [])
+           clustering);
+      List.filter_map
+        (fun c ->
+          if c.fb_set <> set_of_index c.id then
+            Some
+              (Diag.v ~cluster:c.id Diag.Invalid_clustering
+                 "cluster %d breaks the alternating FB-set assignment" c.id)
+          else None)
+        clustering;
+    ]
 
 let cluster_of_kernel_opt clustering kid =
   List.find_opt (fun c -> List.mem kid c.kernels) clustering

@@ -14,8 +14,8 @@ val of_partition : Application.t -> int list -> clustering
 (** [of_partition app sizes] splits the kernel sequence into consecutive
     clusters of the given sizes; cluster 0 gets set A, cluster 1 set B,
     alternating (the hardware double-buffering discipline).
-    @raise Invalid_argument if the sizes are not positive or do not sum to
-    the kernel count. *)
+    @raise Invalid_argument carrying the first {!Validate.partition}
+    violation of [sizes]. *)
 
 val singleton_per_kernel : Application.t -> clustering
 (** One cluster per kernel — the Basic Scheduler's degenerate clustering. *)
@@ -23,9 +23,10 @@ val singleton_per_kernel : Application.t -> clustering
 val whole_application : Application.t -> clustering
 (** A single cluster holding every kernel. *)
 
-val validate : Application.t -> clustering -> (unit, string) result
-(** Checks coverage (every kernel in exactly one cluster, in order),
-    consecutive ids, and alternating set assignment. *)
+val violations : Application.t -> clustering -> Diag.t list
+(** Every rule a built clustering breaks ([Invalid_clustering]): coverage
+    of the kernel sequence in order, consecutive ids, alternating FB
+    sets. *)
 
 val cluster_of_kernel : clustering -> Kernel.id -> t
 (** @raise Invalid_argument naming the kernel id if it is in no

@@ -37,12 +37,17 @@ val make :
   final:bool ->
   unit ->
   t
-(** Normalises [consumers] (sorts, dedups) and validates:
-    positive size; external data must have consumers; a produced result must
-    be consumed or final; a kernel cannot consume its own result; consumers
-    of a produced result must come after the producer; only external data
-    can be [invariant].
-    @raise Invalid_argument otherwise. *)
+(** Normalises [consumers] (sorts, dedups), then checks the record.
+    @raise Invalid_argument carrying the first of its {!violations}. *)
+
+val violations : ?n_kernels:int -> t -> Diag.t list
+(** Every per-object rule the record breaks ([Invalid_app]): non-empty
+    name; positive size; external data must have consumers; a produced
+    result must be consumed or final; a kernel cannot consume its own
+    result; consumers of a produced result must come after the producer;
+    only external data can be [invariant]; [consumers] sorted and unique.
+    With [n_kernels], every producer and consumer id must also name one of
+    kernels [0 .. n_kernels-1]. *)
 
 val instance_iter : t -> int -> int
 (** The iteration index identifying this object's FB instance: the global

@@ -15,9 +15,13 @@ type t = {
   exec_cycles : int;  (** RC-array cycles for one iteration *)
 }
 
+val violations : t -> Diag.t list
+(** Every per-kernel rule the record breaks ([Invalid_app]): negative id,
+    empty name, non-positive contexts or cycles. *)
+
 val make : id:id -> name:string -> contexts:int -> exec_cycles:int -> t
-(** @raise Invalid_argument on negative id, empty name, or non-positive
-    contexts / cycles. *)
+(** @raise Invalid_argument carrying the first of the record's
+    {!violations}. *)
 
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

@@ -1,139 +1,67 @@
-let err ?kernel ?data ?cluster code fmt =
-  Diag.v ?kernel ?data ?cluster code fmt
-
-let duplicates names =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun name ->
-      let dup = Hashtbl.mem seen name in
-      Hashtbl.replace seen name ();
-      dup)
-    names
-  |> List.sort_uniq String.compare
+(* Each key that occurs more than once, once, in ascending order. *)
+let duplicates cmp keys =
+  let rec scan acc = function
+    | a :: (b :: _ as rest) ->
+      let repeated =
+        cmp a b = 0 && match acc with d :: _ -> cmp d a <> 0 | [] -> true
+      in
+      scan (if repeated then a :: acc else acc) rest
+    | _ -> List.rev acc
+  in
+  scan [] (List.sort cmp keys)
 
 let kernels_diags kernels =
   let ks =
     List.concat
       (List.mapi
          (fun i (k : Kernel.t) ->
-           List.concat
-             [
-               (if k.id <> i then
-                  [
-                    err ~kernel:k.name Diag.Invalid_app
-                      "kernel %S has id %d at position %d" k.name k.id i;
-                  ]
-                else []);
-               (if k.name = "" then
-                  [ err Diag.Invalid_app "kernel %d has an empty name" i ]
-                else []);
-               (if k.contexts <= 0 then
-                  [
-                    err ~kernel:k.name Diag.Invalid_app
-                      "kernel %S has non-positive context words (%d)" k.name
-                      k.contexts;
-                  ]
-                else []);
-               (if k.exec_cycles <= 0 then
-                  [
-                    err ~kernel:k.name Diag.Invalid_app
-                      "kernel %S has non-positive exec cycles (%d)" k.name
-                      k.exec_cycles;
-                  ]
-                else []);
-             ])
+           (if k.id <> i then
+              [
+                Diag.v ~kernel:k.name Diag.Invalid_app
+                  "kernel %S has id %d at position %d" k.name k.id i;
+              ]
+            else [])
+           @ Kernel.violations k)
          kernels)
   in
   let dups =
     List.map
       (fun name ->
-        err ~kernel:name Diag.Invalid_app "duplicate kernel name %S" name)
-      (duplicates (List.map (fun (k : Kernel.t) -> k.name) kernels))
+        Diag.v ~kernel:name Diag.Invalid_app "duplicate kernel name %S" name)
+      (duplicates String.compare
+         (List.map (fun (k : Kernel.t) -> k.name) kernels))
   in
   ks @ dups
 
-(* Total re-statement of the [Data.make] invariants: instead of dying on
-   the first violation, every broken property of every object is
-   reported. *)
 let data_diags ~n_kernels data =
-  let per_object (d : Data.t) =
-    let e fmt = err ~data:d.Data.name Diag.Invalid_app fmt in
-    let kid_checks what kid =
-      if kid < 0 || kid >= n_kernels then
-        [
-          e "data %S references unknown %s kernel %d" d.Data.name what kid;
-        ]
-      else []
-    in
-    let rec sorted = function
-      | a :: (b :: _ as rest) -> a < b && sorted rest
-      | _ -> true
-    in
-    List.concat
-      [
-        (if d.Data.name = "" then
-           [ err Diag.Invalid_app "data object %d has an empty name" d.Data.id ]
-         else []);
-        (if d.Data.size <= 0 then
-           [ e "data %S has non-positive size %d" d.Data.name d.Data.size ]
-         else []);
-        (match d.Data.producer with
-        | Data.External -> if d.Data.consumers = [] then
-            [ e "external data %S has no consumers" d.Data.name ]
-          else []
-        | Data.Produced_by k ->
-          List.concat
-            [
-              kid_checks "producer" k;
-              (if d.Data.consumers = [] && not d.Data.final then
-                 [ e "result %S is dead (no consumer, not final)" d.Data.name ]
-               else []);
-              (if List.mem k d.Data.consumers then
-                 [ e "kernel %d consumes its own result %S" k d.Data.name ]
-               else []);
-              (if List.exists (fun c -> c >= 0 && c < n_kernels && c < k)
-                   d.Data.consumers
-               then [ e "a consumer of %S precedes its producer" d.Data.name ]
-               else []);
-            ]);
-        (if d.Data.invariant && d.Data.producer <> Data.External then
-           [ e "produced data %S cannot be iteration-invariant" d.Data.name ]
-         else []);
-        (if not (sorted d.Data.consumers) then
-           [ e "consumers of %S are not sorted and unique" d.Data.name ]
-         else []);
-        List.concat_map (kid_checks "consumer") d.Data.consumers;
-      ]
-  in
   let dups =
     List.map
-      (fun name -> err ~data:name Diag.Invalid_app "duplicate data name %S" name)
-      (duplicates (List.map (fun (d : Data.t) -> d.Data.name) data))
+      (fun name ->
+        Diag.v ~data:name Diag.Invalid_app "duplicate data name %S" name)
+      (duplicates String.compare
+         (List.map (fun (d : Data.t) -> d.Data.name) data))
   in
   let id_dups =
-    let ids = List.map (fun (d : Data.t) -> string_of_int d.Data.id) data in
     List.map
-      (fun id -> err Diag.Invalid_app "duplicate data id %s" id)
-      (duplicates ids)
+      (fun id -> Diag.v Diag.Invalid_app "duplicate data id %d" id)
+      (duplicates Int.compare (List.map (fun (d : Data.t) -> d.Data.id) data))
   in
-  List.concat_map per_object data @ dups @ id_dups
+  List.concat_map (Data.violations ~n_kernels) data @ dups @ id_dups
 
 let application ~name ~kernels ~data ~iterations =
   ignore name;
   List.concat
     [
       (if iterations <= 0 then
-         [ err Diag.Invalid_app "iterations must be positive (got %d)" iterations ]
+         [
+           Diag.v Diag.Invalid_app "iterations must be positive (got %d)"
+             iterations;
+         ]
        else []);
-      (if kernels = [] then [ err Diag.Invalid_app "no kernels" ] else []);
+      (if kernels = [] then [ Diag.v Diag.Invalid_app "no kernels" ] else []);
       kernels_diags kernels;
       data_diags ~n_kernels:(List.length kernels) data;
     ]
-
-let app (t : Application.t) =
-  application ~name:t.Application.name
-    ~kernels:(Array.to_list t.Application.kernels)
-    ~data:t.Application.data ~iterations:t.Application.iterations
 
 let partition ~n_kernels sizes =
   List.concat
@@ -142,70 +70,20 @@ let partition ~n_kernels sizes =
         (fun s ->
           if s <= 0 then
             Some
-              (err Diag.Invalid_clustering "non-positive cluster size %d" s)
+              (Diag.v Diag.Invalid_clustering "non-positive cluster size %d" s)
           else None)
         sizes;
       (let sum = List.fold_left ( + ) 0 sizes in
        if sum <> n_kernels then
          [
-           err Diag.Invalid_clustering
+           Diag.v Diag.Invalid_clustering
              "cluster sizes sum to %d but the application has %d kernels" sum
              n_kernels;
          ]
        else []);
     ]
 
-let clustering (app : Application.t) (cl : Cluster.clustering) =
-  let n = Application.n_kernels app in
-  let covered = List.concat_map (fun (c : Cluster.t) -> c.Cluster.kernels) cl in
-  List.concat
-    [
-      (if covered <> List.init n (fun i -> i) then
-         [
-           err Diag.Invalid_clustering
-             "clusters do not cover the kernel sequence 0..%d in order" (n - 1);
-         ]
-       else []);
-      List.filter_map
-        (fun (i, (c : Cluster.t)) ->
-          if c.Cluster.id <> i then
-            Some
-              (err ~cluster:c.Cluster.id Diag.Invalid_clustering
-                 "cluster ids are not consecutive (id %d at position %d)"
-                 c.Cluster.id i)
-          else None)
-        (List.mapi (fun i c -> (i, c)) cl);
-      List.filter_map
-        (fun (c : Cluster.t) ->
-          if c.Cluster.fb_set <> Cluster.set_of_index c.Cluster.id then
-            Some
-              (err ~cluster:c.Cluster.id Diag.Invalid_clustering
-                 "cluster %d breaks the alternating FB-set assignment"
-                 c.Cluster.id)
-          else None)
-        cl;
-    ]
-
 let config (c : Morphosys.Config.t) =
   match Morphosys.Config.validate c with
   | Ok () -> []
-  | Error msg -> [ err Diag.Invalid_config "%s" msg ]
-
-let all ?config:cfg app_t cl =
-  List.concat
-    [
-      app app_t;
-      clustering app_t cl;
-      (match cfg with None -> [] | Some c -> config c);
-    ]
-
-let application_checked ~name ~kernels ~data ~iterations =
-  match application ~name ~kernels ~data ~iterations with
-  | _ :: _ as diags -> Error diags
-  | [] -> (
-    match Application.make ~name ~kernels ~data ~iterations with
-    | app -> Ok app
-    | exception e ->
-      (* the checker is meant to be complete w.r.t. [Application.make];
-         reaching this branch is a validator gap, reported structurally *)
-      Error [ Diag.of_exn ~backtrace:(Printexc.get_backtrace ()) e ])
+  | Error msg -> [ Diag.v Diag.Invalid_config "%s" msg ]

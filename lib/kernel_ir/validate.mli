@@ -1,20 +1,14 @@
-(** Total pre-flight checking of applications, clusterings and machine
-    configurations.
+(** The whole-input rules of an application and a cluster-size partition.
 
-    The [make] constructors ({!Application.make}, {!Data.make},
-    {!Cluster.of_partition}, [Morphosys.Config.make]) raise
-    [Invalid_argument] on the {e first} violation they meet — right for
-    programmatic construction, useless for triaging a malformed input.
-    This module re-states every constructor invariant as a {e total}
-    check that collects {e all} violations of an input as structured
+    These functions, with the per-record {!Kernel.violations} and
+    {!Data.violations}, are the only place the kernel-IR input rules are
+    written: {!Application.make} and {!Cluster.of_partition} raise
+    [Invalid_argument] carrying the first violation found here. The checks
+    are total: they collect {e all} violations of an input as structured
     {!Diag.t} values (codes [Invalid_app] / [Invalid_clustering] /
-    [Invalid_config], with the offending kernel/data/cluster recorded)
-    and never raises.
-
-    An input for which {!application} returns [[]] is guaranteed to be
-    accepted by {!Application.make}; the hostile fuzzer
-    ([msched fuzz --hostile]) enforces that completeness claim on
-    mutated random applications. *)
+    [Invalid_config], with the offending kernel/data recorded) and never
+    raise, which is what triaging a malformed input needs. The hostile
+    fuzzer ([msched fuzz --hostile]) runs them before any constructor. *)
 
 val application :
   name:string ->
@@ -23,38 +17,14 @@ val application :
   iterations:int ->
   Diag.t list
 (** All violations of the raw application ingredients: positive
-    iterations, non-empty ordered kernel sequence, unique kernel/data
-    names and data ids, per-object {!Data.make} invariants, and
-    producer/consumer ids in range. *)
-
-val app : Application.t -> Diag.t list
-(** {!application} over an already-built value (expected [[]] — useful
-    for auditing values deserialised or built through unchecked
-    paths). *)
-
-val application_checked :
-  name:string ->
-  kernels:Kernel.t list ->
-  data:Data.t list ->
-  iterations:int ->
-  (Application.t, Diag.t list) result
-(** Validate, then construct. Never raises: if the checker passes an
-    input that {!Application.make} still rejects (a checker gap), the
-    exception is returned as a diagnostic too. *)
+    iterations, non-empty kernel sequence with [kernels.(i).id = i],
+    every {!Kernel.violations}, unique kernel names, every
+    {!Data.violations} against the kernel count, unique data names and
+    data ids. [[]] exactly when {!Application.make} accepts the input. *)
 
 val partition : n_kernels:int -> int list -> Diag.t list
-(** Violations of a cluster-size partition ({!Cluster.of_partition}
-    preconditions): positive sizes summing to the kernel count. *)
-
-val clustering : Application.t -> Cluster.clustering -> Diag.t list
-(** Violations of a built clustering: kernel coverage in order,
-    consecutive ids, alternating FB sets. *)
+(** Violations of a cluster-size partition: positive sizes summing to the
+    kernel count. [[]] exactly when {!Cluster.of_partition} accepts it. *)
 
 val config : Morphosys.Config.t -> Diag.t list
-
-val all :
-  ?config:Morphosys.Config.t ->
-  Application.t ->
-  Cluster.clustering ->
-  Diag.t list
-(** Every violation of a whole scheduling problem. *)
+(** [Morphosys.Config.validate] as diagnostics. *)

@@ -342,36 +342,31 @@ let sweep ?(jobs = 1) ?retries ?cache ?stats ?store
     match stats with
     | Some st -> Durable.note_stats d st ~replayed
     | None -> ());
-  match cache with
+  (* One design point = one key: the digest covers the application, the
+     clustering and every machine parameter, so a hit is exact. An
+     unmarshalable application cannot be keyed: with a store this is
+     unreachable (Durable.open_ would have refused); with a plain cache
+     the sweep degrades to the uncached path instead of crashing a
+     worker. *)
+  let keyed =
+    Option.bind cache (fun cache ->
+        match Engine.Key.digest_value_result (app, clustering) with
+        | Ok app_digest -> Some (cache, app_digest)
+        | Error d ->
+          if store <> None then invalid_arg (Diag.to_string d);
+          None)
+  in
+  match keyed with
   | None ->
     let slots =
       Engine.Pool.run_results ~jobs ?retries
         (Array.of_list (List.map (fun c () -> eval c) combos))
     in
     List.mapi (fun i combo -> settle ~combo slots.(i)) combos
-  | Some cache ->
-    (* One design point = one key: the digest covers the application, the
-       clustering and every machine parameter, so a hit is exact. Misses
-       are deduped and scheduled once each; results land back in combo
-       order, keeping the output byte-identical to the sequential path. *)
-    let app_digest =
-      match Engine.Key.digest_value_result (app, clustering) with
-      | Ok d -> Some d
-      | Error d ->
-        (* unmarshalable application: with a store this is unreachable
-           (Durable.open_ would have refused); with a plain cache, degrade
-           to the uncached path instead of crashing a worker *)
-        if store <> None then invalid_arg (Diag.to_string d);
-        None
-    in
-    match app_digest with
-    | None ->
-      let slots =
-        Engine.Pool.run_results ~jobs ?retries
-          (Array.of_list (List.map (fun c () -> eval c) combos))
-      in
-      List.mapi (fun i combo -> settle ~combo slots.(i)) combos
-    | Some app_digest ->
+  | Some (cache, app_digest) ->
+    (* Misses are deduped and scheduled once each; results land back in
+       combo order, keeping the output byte-identical to the sequential
+       path. *)
     let lookups =
       List.map
         (fun c ->

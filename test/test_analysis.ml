@@ -61,7 +61,7 @@ let test_bad_clustering_backstop () =
   Alcotest.check_raises "non-consecutive ids"
     (Invalid_argument
        "Analysis.make: cluster ids are not consecutive (cluster at position \
-        0 has id 1; run Cluster.validate)")
+        0 has id 1; run Cluster.violations)")
     (fun () -> ignore (Analysis.make app shifted));
   Alcotest.check_raises "empty clustering"
     (Invalid_argument "Analysis.make: empty clustering") (fun () ->
@@ -108,23 +108,47 @@ let prop_candidates (app, clustering) =
     [ false; true ]
 
 (* The fast split/closed-form must produce the reference integers, for the
-   bare profile and under pinned subsets of the cluster inputs. *)
+   bare profile and under pinned subsets of the cluster inputs; the
+   incremental sweep must match the reference after every single pin, and
+   its tentative query must match the reference for the next pin. *)
 let prop_splits (app, clustering) =
   let a = Analysis.make app clustering in
+  let module F = Sched.Ds_formula in
   List.for_all
     (fun (p : IE.cluster_profile) ->
       let pinned_sets =
         let inputs = p.IE.external_inputs in
         [ []; inputs; List.filteri (fun i _ -> i mod 2 = 0) inputs ]
       in
+      let mismatch what =
+        QCheck.Test.fail_reportf "%s mismatch, cluster %d" what
+          p.IE.cluster.Cluster.id
+      in
+      let incremental pinned =
+        let s = F.split_sweep p in
+        let rec walk prefix = function
+          | [] -> true
+          | d :: rest ->
+            let next = prefix @ [ d ] in
+            (F.split_if_pinned s d = Oracle.Ds_formula.split ~pinned:next p
+            || mismatch "split_if_pinned")
+            && begin
+                 F.pin s d;
+                 F.split s = Oracle.Ds_formula.split ~pinned:next p
+                 || mismatch "pinned split"
+               end
+            && walk next rest
+        in
+        (F.split s = Oracle.Ds_formula.split p || mismatch "bare split")
+        && walk [] pinned
+      in
       List.for_all
         (fun pinned ->
-          Sched.Ds_formula.closed_form_fast ~pinned p
-          = Oracle.Ds_formula.closed_form ~pinned p
-          && Sched.Ds_formula.split_fast ~pinned p
-             = Oracle.Ds_formula.split ~pinned p
-          || QCheck.Test.fail_reportf "split mismatch, cluster %d"
-               p.IE.cluster.Cluster.id)
+          (F.closed_form_fast ~pinned p
+           = Oracle.Ds_formula.closed_form ~pinned p
+           && F.split_fast ~pinned p = Oracle.Ds_formula.split ~pinned p
+          || mismatch "split")
+          && incremental pinned)
         pinned_sets)
     (Array.to_list a.Analysis.profiles)
 

@@ -162,31 +162,55 @@ let test_validate_clean () =
   Alcotest.(check int) "clean ingredients produce no diagnostics" 0
     (List.length
        (Validate.application ~name:"ok" ~kernels ~data ~iterations:4));
-  match Validate.application_checked ~name:"ok" ~kernels ~data ~iterations:4 with
-  | Ok app ->
-    Alcotest.(check int) "constructed" 2 (Application.n_kernels app);
-    Alcotest.(check int) "audit of a built app is clean" 0
-      (List.length (Validate.app app));
-    let cl = Cluster.of_partition app [ 1; 1 ] in
-    Alcotest.(check int) "well-built clustering is clean" 0
-      (List.length (Validate.clustering app cl));
-    Alcotest.(check int) "whole problem is clean" 0
-      (List.length
-         (Validate.all ~config:(Morphosys.Config.m1 ~fb_set_size:1024) app cl))
-  | Error diags ->
-    Alcotest.failf "expected Ok, got %d diagnostics" (List.length diags)
+  let app = Application.make ~name:"ok" ~kernels ~data ~iterations:4 in
+  Alcotest.(check int) "constructed" 2 (Application.n_kernels app);
+  Alcotest.(check int) "audit of a built app is clean" 0
+    (List.length
+       (Validate.application ~name:app.Application.name
+          ~kernels:(Array.to_list app.Application.kernels)
+          ~data:app.Application.data ~iterations:app.Application.iterations));
+  let cl = Cluster.of_partition app [ 1; 1 ] in
+  Alcotest.(check int) "well-built clustering is clean" 0
+    (List.length (Cluster.violations app cl))
+
+(* [Application.make] raises on [Validate.application]'s first message. *)
+let expect_first_violation what ~kernels ~data ~iterations =
+  match Validate.application ~name:what ~kernels ~data ~iterations with
+  | [] -> Alcotest.failf "%s: the checker flags nothing" what
+  | first :: _ -> (
+    match Application.make ~name:what ~kernels ~data ~iterations with
+    | _ -> Alcotest.failf "%s: Application.make accepted the input" what
+    | exception Invalid_argument msg ->
+      Alcotest.(check string)
+        (what ^ ": message carries the first violation")
+        ("Application.make: " ^ first.Diag.message)
+        msg)
 
 let test_validate_checked_rejects () =
   let kernels, data = valid_ingredients () in
-  match
-    Validate.application_checked ~name:"bad" ~kernels ~data ~iterations:0
-  with
-  | Ok _ -> Alcotest.fail "expected Error"
-  | Error diags ->
-    Alcotest.(check bool) "at least the iterations diagnostic" true
-      (List.exists
-         (fun d -> contains (Diag.to_string d) "iterations")
-         diags)
+  let diags = Validate.application ~name:"bad" ~kernels ~data ~iterations:0 in
+  Alcotest.(check bool) "at least the iterations diagnostic" true
+    (List.exists (fun d -> contains (Diag.to_string d) "iterations") diags);
+  expect_first_violation "zero iterations" ~kernels ~data ~iterations:0
+
+(* Raw records that bypass [Data.make]: the application constructor states
+   the per-object rules too. *)
+let test_make_rejects_raw_records () =
+  let kernels, data = valid_ingredients () in
+  let mutate f =
+    List.mapi (fun i (d : Data.t) -> if i = 1 then f d else d) data
+  in
+  expect_first_violation "duplicate data id" ~kernels
+    ~data:(mutate (fun d -> { d with Data.id = 0 }))
+    ~iterations:4;
+  expect_first_violation "non-positive size" ~kernels
+    ~data:(mutate (fun d -> { d with Data.size = 0 }))
+    ~iterations:4;
+  let shared_input =
+    { (List.hd data) with Data.consumers = [ 1; 0 ] } :: List.tl data
+  in
+  expect_first_violation "unsorted consumers" ~kernels ~data:shared_input
+    ~iterations:4
 
 let test_validate_partition () =
   Alcotest.(check int) "good partition" 0
@@ -211,8 +235,10 @@ let tests =
       Alcotest.test_case "validate collects all" `Quick
         test_validate_collects_all;
       Alcotest.test_case "validate clean" `Quick test_validate_clean;
-      Alcotest.test_case "application_checked rejects" `Quick
+      Alcotest.test_case "invalid iterations rejected" `Quick
         test_validate_checked_rejects;
       Alcotest.test_case "validate partition" `Quick test_validate_partition;
       Alcotest.test_case "validate config" `Quick test_validate_config;
+      Alcotest.test_case "make rejects raw records" `Quick
+        test_make_rejects_raw_records;
     ] )

@@ -254,26 +254,6 @@ let test_cache_clear_replays_from_store () =
     (Engine.Stats.store_replayed st);
   Durable.close d
 
-let test_auto_clustering_store () =
-  let app = Workloads.Mpeg.app () in
-  let config = Morphosys.Config.m1 ~fb_set_size:4096 in
-  let reference = Cds.Pipeline.auto_clustering config app in
-  with_path @@ fun path ->
-  match Engine.Store.open_ ~schema:1 path with
-  | Error d -> Alcotest.failf "open failed: %s" (Diag.render d)
-  | Ok store ->
-    let first = Cds.Pipeline.auto_clustering ~store config app in
-    Alcotest.(check bool) "store does not change the search result" true
-      (first = reference);
-    let cached = Engine.Store.length store in
-    Alcotest.(check bool) "candidates were memoised" true (cached > 0);
-    (* a rerun against the same store answers from disk alone *)
-    let second = Cds.Pipeline.auto_clustering ~store config app in
-    Alcotest.(check bool) "memoised rerun agrees" true (second = reference);
-    Alcotest.(check int) "no new candidates were evaluated" cached
-      (Engine.Store.length store);
-    Engine.Store.close store
-
 let tests =
   ( "dse_resume",
     [
@@ -289,6 +269,4 @@ let tests =
         test_identity_guards;
       Alcotest.test_case "Cache.clear then replay from store" `Quick
         test_cache_clear_replays_from_store;
-      Alcotest.test_case "auto-clustering memoises in a store" `Quick
-        test_auto_clustering_store;
     ] )
