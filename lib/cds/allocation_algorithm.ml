@@ -15,9 +15,10 @@ type result = {
   failures : string list;
 }
 
+(* Layouts are keyed on (data id, iteration) instances. *)
 type state = {
-  layout_a : Layout.t;
-  layout_b : Layout.t;
+  layout_a : (int * int) Layout.t;
+  layout_b : (int * int) Layout.t;
   retained : Sharing.t list;
   mutable snapshots : snapshot list;
   mutable failures : string list;
@@ -28,37 +29,33 @@ let layout state = function
   | Fb.Set_a -> state.layout_a
   | Fb.Set_b -> state.layout_b
 
-let label = Sched.Schedule.instance_label
-
 let snap state set caption =
   state.snapshots <-
     { caption; cells = Layout.snapshot (layout state set) } :: state.snapshots
 
-let place state set ~name ~g ~words ~from =
+let place state set (d : Data.t) ~g ~from =
   let lay = layout state set in
-  let lbl = label name ~iter:g in
-  if not (Layout.placed lay ~label:lbl) then
-    match Layout.place lay ~label:lbl ~words ~from with
-    | Some (_ : Layout.placement) -> ()
-    | None -> state.failures <- lbl :: state.failures
+  let key = (d.Data.id, g) in
+  if not (Layout.placed lay ~key) then
+    match Layout.place lay ~key ~words:d.Data.size ~from with
+    | Some (_ : _ Layout.placement) -> ()
+    | None ->
+      state.failures <- Printf.sprintf "%s@%d" d.Data.name g :: state.failures
 
-let release_if_placed state set ~name ~g =
+let release_if_placed state set (d : Data.t) ~g =
   let lay = layout state set in
-  let lbl = label name ~iter:g in
-  if Layout.placed lay ~label:lbl then Layout.release lay ~label:lbl
+  let key = (d.Data.id, g) in
+  if Layout.placed lay ~key then Layout.release lay ~key
 
 (* Does some retained candidate keep this object in [set] beyond cluster
    [cid]? Then its space must not be released yet. *)
-let pinned_beyond state set ~cid (name : string) app =
-  match Kernel_ir.Application.data_by_name_opt app name with
-  | None -> false
-  | Some d ->
-    List.exists
-      (fun (c : Sharing.t) ->
-        c.Sharing.set = set
-        && (Sharing.data c).Data.id = d.Data.id
-        && snd c.Sharing.window > cid)
-      state.retained
+let pinned_beyond state set ~cid id =
+  List.exists
+    (fun (c : Sharing.t) ->
+      c.Sharing.set = set
+      && (Sharing.data c).Data.id = id
+      && snd c.Sharing.window > cid)
+    state.retained
 
 let is_retained state (d : Data.t) set =
   List.exists
@@ -71,10 +68,16 @@ let run ~(analysis : Kernel_ir.Analysis.t)
     ~(retention : Retention.decision) ~round =
   if rf < 1 then invalid_arg "Allocation_algorithm.run: rf must be >= 1";
   if round < 0 then invalid_arg "Allocation_algorithm.run: negative round";
+  let app = analysis.Kernel_ir.Analysis.app in
+  let names = Hashtbl.create (List.length app.Kernel_ir.Application.data) in
+  List.iter
+    (fun (d : Data.t) -> Hashtbl.replace names d.Data.id d.Data.name)
+    app.Kernel_ir.Application.data;
+  let name (id, g) = Printf.sprintf "%s@%d" (Hashtbl.find names id) g in
   let state =
     {
-      layout_a = Layout.create ~size:config.fb_set_size;
-      layout_b = Layout.create ~size:config.fb_set_size;
+      layout_a = Layout.create ~size:config.fb_set_size ~name;
+      layout_b = Layout.create ~size:config.fb_set_size ~name;
       retained = retention.Retention.retained;
       snapshots = [];
       failures = [];
@@ -86,7 +89,6 @@ let run ~(analysis : Kernel_ir.Analysis.t)
     if d.Data.invariant then [ 0 ] else List.init rf (fun i -> base + i)
   in
   let iters g_fun = List.iter g_fun (List.init rf (fun i -> base + i)) in
-  let app = analysis.Kernel_ir.Analysis.app in
   Array.iter
     (fun (prof : IE.cluster_profile) ->
       let c = prof.IE.cluster in
@@ -119,8 +121,7 @@ let run ~(analysis : Kernel_ir.Analysis.t)
           let d = Sharing.data cand in
           List.iter
             (fun g ->
-              place state set ~name:d.Data.name ~g ~words:d.Data.size
-                ~from:Free_list.Upper)
+              place state set d ~g ~from:Free_list.Upper)
             (iters_of d))
         shared_here;
       (* 2. The cluster's remaining input data: inputs of later kernels
@@ -132,8 +133,7 @@ let run ~(analysis : Kernel_ir.Analysis.t)
             (fun (d : Data.t) ->
               List.iter
                 (fun g ->
-                  place state set ~name:d.Data.name ~g ~words:d.Data.size
-                    ~from:Free_list.Upper)
+                  place state set d ~g ~from:Free_list.Upper)
                 (iters_of d))
             kp.IE.d_objects)
         (List.rev prof.IE.kernel_profiles);
@@ -154,13 +154,12 @@ let run ~(analysis : Kernel_ir.Analysis.t)
                     if is_retained state d set then Free_list.Upper
                     else Free_list.Lower
                   in
-                  place state set ~name:d.Data.name ~g ~words:d.Data.size ~from)
+                  place state set d ~g ~from)
                 kp.IE.rout_objects;
               (* intermediates: farthest consumer first, lower region *)
               List.iter
                 (fun ((d : Data.t), _) ->
-                  place state set ~name:d.Data.name ~g ~words:d.Data.size
-                    ~from:Free_list.Lower)
+                  place state set d ~g ~from:Free_list.Lower)
                 (List.sort
                    (fun (_, t1) (_, t2) -> compare t2 t1)
                    kp.IE.intermediate_objects);
@@ -170,12 +169,12 @@ let run ~(analysis : Kernel_ir.Analysis.t)
                  kernel's final iteration of the round) *)
               List.iter
                 (fun (d : Data.t) ->
-                  if not (pinned_beyond state set ~cid d.Data.name app) then
+                  if not (pinned_beyond state set ~cid d.Data.id) then
                     if d.Data.invariant then begin
                       if g = base + rf - 1 then
-                        release_if_placed state set ~name:d.Data.name ~g:0
+                        release_if_placed state set d ~g:0
                     end
-                    else release_if_placed state set ~name:d.Data.name ~g)
+                    else release_if_placed state set d ~g)
                 kp.IE.d_objects;
               (* release: intermediates this kernel consumed last *)
               List.iter
@@ -183,7 +182,7 @@ let run ~(analysis : Kernel_ir.Analysis.t)
                   List.iter
                     (fun ((d : Data.t), t) ->
                       if t = kp.IE.kernel then
-                        release_if_placed state set ~name:d.Data.name ~g)
+                        release_if_placed state set d ~g)
                     other.IE.intermediate_objects)
                 prof.IE.kernel_profiles;
               if cap then
@@ -193,12 +192,9 @@ let run ~(analysis : Kernel_ir.Analysis.t)
             memory and everything not retained for a later cluster is
             released. *)
       List.iter
-        (fun (p : Layout.placement) ->
-          match Sched.Schedule.parse_label p.Layout.label with
-          | Some (name, g) when g >= base && g < base + rf ->
-            if not (pinned_beyond state set ~cid name app) then
-              Layout.release lay ~label:p.Layout.label
-          | Some _ | None -> ())
+        (fun ({ Layout.key = (id, g) as key; _ } : _ Layout.placement) ->
+          if g >= base && g < base + rf && not (pinned_beyond state set ~cid id)
+          then Layout.release lay ~key)
         (Layout.placements lay);
       state.peaks <- (cid, !peak) :: state.peaks;
       if cap then snap state set (Printf.sprintf "post-Cl%d" cid))

@@ -2,21 +2,28 @@ module Dma = Morphosys.Dma
 module Schedule = Sched.Schedule
 module Application = Kernel_ir.Application
 
-let instruction_of_transfer (tr : Dma.t) =
+(* The schedule's data by id, built once per program. *)
+let data_table (app : Application.t) =
+  let tbl = Hashtbl.create (List.length app.data) in
+  List.iter (fun (d : Kernel_ir.Data.t) -> Hashtbl.replace tbl d.id d) app.data;
+  tbl
+
+let instruction_of_transfer data (tr : Dma.t) =
   match tr.Dma.kind with
-  | Dma.Context -> [ Instruction.Ldctxt { label = tr.Dma.label; words = tr.words } ]
-  | Dma.Data { set; direction } -> (
-    match Schedule.parse_label tr.Dma.label with
-    | None ->
-      invalid_arg ("Emit: unparsable data transfer label " ^ tr.Dma.label)
-    | Some (name, iter) -> (
-      match direction with
-      | Dma.Load ->
-        [ Instruction.Ldfb
-            { set; name; iter = Instruction.Abs iter; words = tr.words } ]
-      | Dma.Store ->
-        [ Instruction.Stfb
-            { set; name; iter = Instruction.Abs iter; words = tr.words } ]))
+  | Dma.Context { cluster } ->
+    Instruction.Ldctxt { label = Printf.sprintf "Cl%d" cluster; words = tr.words }
+  | Dma.Data { set; direction; data = id; iter } -> (
+    let name =
+      match Hashtbl.find_opt data id with
+      | Some (d : Kernel_ir.Data.t) -> d.name
+      | None ->
+        invalid_arg
+          (Printf.sprintf "Emit: transfer references unknown data id %d" id)
+    in
+    let iter = Instruction.Abs iter in
+    match direction with
+    | Dma.Load -> Instruction.Ldfb { set; name; iter; words = tr.words }
+    | Dma.Store -> Instruction.Stfb { set; name; iter; words = tr.words })
 
 let compute_instructions app ~rf (c : Schedule.computation) =
   let set = c.Schedule.cluster.Kernel_ir.Cluster.fb_set in
@@ -47,7 +54,7 @@ let compute_instructions app ~rf (c : Schedule.computation) =
       :: writes)
     c.Schedule.cluster.Kernel_ir.Cluster.kernels
 
-let step_instructions ?(with_comment = true) schedule i (step : Schedule.step) =
+let step_instructions ~data schedule i (step : Schedule.step) =
   let header =
     match step.Schedule.compute with
     | Some c ->
@@ -59,8 +66,8 @@ let step_instructions ?(with_comment = true) schedule i (step : Schedule.step) =
         (if step.Schedule.note = "" then ""
          else " (" ^ step.Schedule.note ^ ")")
   in
-  (if with_comment then [ Instruction.Comment header ] else [])
-  @ List.concat_map instruction_of_transfer step.Schedule.dma
+  (Instruction.Comment header
+   :: List.map (instruction_of_transfer data) step.Schedule.dma)
   @ (match step.Schedule.compute with
     | Some c ->
       compute_instructions schedule.Schedule.app ~rf:schedule.Schedule.rf c
@@ -68,7 +75,9 @@ let step_instructions ?(with_comment = true) schedule i (step : Schedule.step) =
   @ [ Instruction.Dma_wait ]
 
 let program (schedule : Schedule.t) =
-  List.concat (List.mapi (step_instructions schedule) schedule.Schedule.steps)
+  let data = data_table schedule.Schedule.app in
+  List.concat
+    (List.mapi (step_instructions ~data schedule) schedule.Schedule.steps)
   @ [ Instruction.Halt ]
 
 (* -- loop rerolling ------------------------------------------------------ *)
@@ -86,12 +95,14 @@ let rounds_of_steps steps =
       (step, !current))
     steps
 
-let relify ~app ~base program =
-  let invariant name =
-    match Application.data_by_name_opt app name with
-    | Some d -> d.Kernel_ir.Data.invariant
-    | None -> false
+let relify ~data ~base program =
+  let invariants =
+    Hashtbl.fold
+      (fun _ (d : Kernel_ir.Data.t) acc ->
+        if d.invariant then d.name :: acc else acc)
+      data []
   in
+  let invariant name = List.mem name invariants in
   List.filter_map
     (fun insn ->
       match insn with
@@ -113,12 +124,13 @@ let program_looped (schedule : Schedule.t) =
   let total_rounds = Schedule.rounds schedule in
   if total_rounds < 3 then program schedule
   else begin
+    let data = data_table schedule.Schedule.app in
     let by_round = rounds_of_steps schedule.Schedule.steps in
     let segment r =
       List.concat
         (List.mapi
            (fun i (step, round) ->
-             if round = r then step_instructions schedule i step else [])
+             if round = r then step_instructions ~data schedule i step else [])
            by_round)
     in
     (* middle rounds 1 .. R-2 must be identical once iteration references
@@ -126,7 +138,7 @@ let program_looped (schedule : Schedule.t) =
     let middle = List.init (total_rounds - 2) (fun i -> i + 1) in
     let relified =
       List.map
-        (fun r -> relify ~app:schedule.Schedule.app ~base:(r * rf) (segment r))
+        (fun r -> relify ~data ~base:(r * rf) (segment r))
         middle
     in
     match relified with
@@ -151,6 +163,6 @@ let program_looped (schedule : Schedule.t) =
   end
 
 (* Diagnostic firewall over [program]: hand-built or corrupted schedules
-   whose transfer labels do not lower surface as diagnostics, not
+   whose transfers name unknown data surface as diagnostics, not
    [Invalid_argument]. *)
 let program_result schedule = Diag.guard (fun () -> program schedule)

@@ -14,9 +14,9 @@ val program : Sched.Schedule.t -> Instruction.program
 
 val program_result :
   Sched.Schedule.t -> (Instruction.program, Diag.t) Stdlib.result
-(** Exception firewall over {!program}: a schedule whose transfer labels
-    do not lower (hand-built or corrupted) comes back as an
-    [Invalid_app] diagnostic instead of an [Invalid_argument]. *)
+(** Exception firewall over {!program}: a schedule whose transfers name a
+    data id its application lacks (hand-built or corrupted) comes back as
+    an [Invalid_app] diagnostic instead of an [Invalid_argument]. *)
 
 val program_looped : Sched.Schedule.t -> Instruction.program
 (** Compact form: the uniform middle rounds are rerolled into one

@@ -18,7 +18,7 @@ let fault fmt = Format.kasprintf (fun m -> raise (Fault m)) fmt
 type state = {
   config : Morphosys.Config.t;
   cm : Cm.t;
-  fb_resident : (Fb.set * string, unit) Hashtbl.t;
+  fb_resident : (Fb.set * string * int, unit) Hashtbl.t;
   mutable clock : int;
   mutable dma_available : int;  (* time the DMA channel becomes free *)
   mutable dma_busy : int;
@@ -60,9 +60,9 @@ let load_context state ~label ~words =
     + (words * state.config.Morphosys.Config.context_cycles_per_word));
   state.ctx_words <- state.ctx_words + words
 
-let resolve_instance ~induction name iter =
+let resolve ~induction iter =
   match Instruction.resolve iter ~induction with
-  | Ok i -> Sched.Schedule.instance_label name ~iter:i
+  | Ok i -> i
   | Error msg -> fault "%s" msg
 
 let rec step state ~induction (insn : Instruction.t) =
@@ -71,16 +71,15 @@ let rec step state ~induction (insn : Instruction.t) =
   | Instruction.Comment _ -> ()
   | Instruction.Ldctxt { label; words } -> load_context state ~label ~words
   | Instruction.Ldfb { set; name; iter; words } ->
-    let label = resolve_instance ~induction name iter in
-    Hashtbl.replace state.fb_resident (set, label) ();
+    Hashtbl.replace state.fb_resident (set, name, resolve ~induction iter) ();
     issue_dma state
       (state.config.Morphosys.Config.dma_setup_cycles
       + (words * state.config.Morphosys.Config.data_cycles_per_word));
     state.load_words <- state.load_words + words
   | Instruction.Stfb { set; name; iter; words } ->
-    let label = resolve_instance ~induction name iter in
-    if not (Hashtbl.mem state.fb_resident (set, label)) then
-      fault "store of %s from set %s but it is not resident" label
+    let iter = resolve ~induction iter in
+    if not (Hashtbl.mem state.fb_resident (set, name, iter)) then
+      fault "store of %s@%d from set %s but it is not resident" name iter
         (Fb.set_to_string set);
     issue_dma state
       (state.config.Morphosys.Config.dma_setup_cycles
@@ -96,8 +95,7 @@ let rec step state ~induction (insn : Instruction.t) =
       fault "execute %s with non-positive duration" kernel;
     state.clock <- state.clock + (cycles * iterations)
   | Instruction.Wrfb { set; name; iter } ->
-    let label = resolve_instance ~induction name iter in
-    Hashtbl.replace state.fb_resident (set, label) ()
+    Hashtbl.replace state.fb_resident (set, name, resolve ~induction iter) ()
   | Instruction.Loop { start; stride; count; body } ->
     if count < 0 then fault "loop with negative count";
     for i = 0 to count - 1 do

@@ -5,8 +5,8 @@
     by the single channel), broadcasts contexts and runs kernels; [Dma_wait]
     joins the channel. Context loads go through {!Morphosys.Context_memory},
     evicting the least-recently-loaded non-busy context set when the CM is
-    full; frame-buffer residency is tracked by label (capacity is the
-    allocator's concern and checked there).
+    full; frame-buffer residency is tracked per (set, name, iteration)
+    instance (capacity is the allocator's concern and checked there).
 
     On schedules produced by the schedulers in this repository the
     interpreted cycle count is identical to {!Msim}'s executor — a test
@@ -23,7 +23,7 @@ type result = {
 }
 
 exception Fault of string
-(** Raised on machine faults: storing a label that is not resident in the
+(** Raised on machine faults: storing an instance that is not resident in the
     frame buffer, a context set larger than the whole CM, or a program
     without [Halt]. *)
 

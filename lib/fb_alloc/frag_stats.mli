@@ -12,5 +12,5 @@ type t = {
   placements : int;  (** total successful placements so far *)
 }
 
-val of_layout : Layout.t -> t
+val of_layout : _ Layout.t -> t
 val pp : Format.formatter -> t -> unit

@@ -1,19 +1,21 @@
 module Interval = Msutil.Interval
 
-type placement = { label : string; intervals : Interval.t list }
+type 'k placement = { key : 'k; intervals : Interval.t list }
 
-type t = {
+type 'k t = {
   free : Free_list.t;
-  placed_table : (string, Interval.t list) Hashtbl.t;
-  previous : (string, Interval.t list) Hashtbl.t;
-      (* last placement of each label, for regularity *)
+  name : 'k -> string;
+  placed_table : ('k, Interval.t list) Hashtbl.t;
+  previous : ('k, Interval.t list) Hashtbl.t;
+      (* last placement of each key, for regularity *)
   mutable split_count : int;
   mutable placement_count : int;
 }
 
-let create ~size =
+let create ~size ~name =
   {
     free = Free_list.create size;
+    name;
     placed_table = Hashtbl.create 64;
     previous = Hashtbl.create 64;
     split_count = 0;
@@ -23,21 +25,11 @@ let create ~size =
 let size t = Free_list.size t.free
 let free_words t = Free_list.free_words t.free
 let largest_free t = Free_list.largest_free t.free
-let placed t ~label = Hashtbl.mem t.placed_table label
-
-let placement_of_opt t ~label =
-  Option.map
-    (fun intervals -> { label; intervals })
-    (Hashtbl.find_opt t.placed_table label)
-
-let placement_of t ~label =
-  match placement_of_opt t ~label with
-  | Some p -> p
-  | None -> invalid_arg ("Layout.placement_of: not placed: " ^ label)
+let placed t ~key = Hashtbl.mem t.placed_table key
 
 let placements t =
   Hashtbl.fold
-    (fun label intervals acc -> { label; intervals } :: acc)
+    (fun key intervals acc -> { key; intervals } :: acc)
     t.placed_table []
   |> List.sort (fun a b ->
          match (a.intervals, b.intervals) with
@@ -47,8 +39,8 @@ let placements t =
 let splits t = t.split_count
 let placements_done t = t.placement_count
 
-let try_regular t ~label ~words =
-  match Hashtbl.find_opt t.previous label with
+let try_regular t ~key ~words =
+  match Hashtbl.find_opt t.previous key with
   | Some prev
     when Msutil.Listx.sum_by Interval.length prev = words
          && List.for_all (Free_list.is_free t.free) prev ->
@@ -56,12 +48,12 @@ let try_regular t ~label ~words =
     Some prev
   | _ -> None
 
-let place t ~label ~words ~from =
+let place t ~key ~words ~from =
   if words <= 0 then invalid_arg "Layout.place: words must be positive";
-  if placed t ~label then
-    invalid_arg ("Layout.place: already placed: " ^ label);
+  if placed t ~key then
+    invalid_arg ("Layout.place: already placed: " ^ t.name key);
   let result =
-    match try_regular t ~label ~words with
+    match try_regular t ~key ~words with
     | Some ivs -> Some ivs
     | None -> (
       match Free_list.allocate t.free ~from ~words with
@@ -76,26 +68,27 @@ let place t ~label ~words ~from =
   match result with
   | None -> None
   | Some intervals ->
-    Hashtbl.replace t.placed_table label intervals;
-    Hashtbl.replace t.previous label intervals;
+    Hashtbl.replace t.placed_table key intervals;
+    Hashtbl.replace t.previous key intervals;
     t.placement_count <- t.placement_count + 1;
-    Some { label; intervals }
+    Some { key; intervals }
 
-let release t ~label =
-  match Hashtbl.find_opt t.placed_table label with
-  | None -> invalid_arg ("Layout.release: not placed: " ^ label)
+let release t ~key =
+  match Hashtbl.find_opt t.placed_table key with
+  | None -> invalid_arg ("Layout.release: not placed: " ^ t.name key)
   | Some intervals ->
-    Hashtbl.remove t.placed_table label;
+    Hashtbl.remove t.placed_table key;
     List.iter (Free_list.release t.free) intervals
 
 let snapshot t =
   let map = Array.make (size t) None in
   Hashtbl.iter
-    (fun label intervals ->
+    (fun key intervals ->
+      let name = Some (t.name key) in
       List.iter
         (fun iv ->
           for addr = Interval.(iv.lo) to Interval.(iv.hi) - 1 do
-            map.(addr) <- Some label
+            map.(addr) <- name
           done)
         intervals)
     t.placed_table;

@@ -4,27 +4,41 @@
     frame buffer and the context memory, so data and context transfers can
     never happen simultaneously — they serialise on the channel. A transfer's
     cost in cycles depends only on its word count and the per-word cost of
-    its kind. *)
+    its kind.
+
+    A transfer names what it moves by a typed key: a data transfer carries
+    the (data id, iteration) instance it moves, a context transfer the
+    cluster whose contexts it loads. Rendering a key as text
+    (["name@iter"], ["Cl3"]) is left to printers that know the
+    application. *)
 
 type direction = Load | Store
 (** [Load]: external memory -> on chip. [Store]: on chip -> external. *)
 
 type kind =
-  | Data of { set : Frame_buffer.set; direction : direction }
-      (** data or result words moving between external memory and an FB set *)
-  | Context  (** context words moving into the context memory *)
+  | Data of {
+      set : Frame_buffer.set;
+      direction : direction;
+      data : int;  (** the object's data id *)
+      iter : int;  (** the instance's iteration (0 for invariant tables) *)
+    }  (** one (object, iteration) instance between external memory and an FB set *)
+  | Context of { cluster : int }
+      (** a cluster's context words moving into the context memory *)
 
-type t = { label : string; kind : kind; words : int }
-(** One DMA request. [label] identifies the object (data name, result name or
-    kernel name for contexts). *)
+type t = { kind : kind; words : int }
 
-val data_load : set:Frame_buffer.set -> label:string -> words:int -> t
-val data_store : set:Frame_buffer.set -> label:string -> words:int -> t
-val context_load : kernel:string -> words:int -> t
+val data_load :
+  set:Frame_buffer.set -> data:int -> iter:int -> words:int -> t
 
-val words_cost : Config.t -> kind -> words:int -> int
-(** Channel occupancy, in cycles, of one transfer of that kind and size:
-    the setup cost plus the kind's per-word cost. *)
+val data_store :
+  set:Frame_buffer.set -> data:int -> iter:int -> words:int -> t
+
+val context_load : cluster:int -> words:int -> t
+
+val words_cost : Config.t -> context:bool -> words:int -> int
+(** Channel occupancy, in cycles, of one transfer of that size: the setup
+    cost plus the per-word cost of context ([~context:true]) or data
+    words. *)
 
 val cost : Config.t -> t -> int
 (** [words_cost] of the transfer. *)
@@ -37,4 +51,3 @@ val words_of_kind : (kind -> bool) -> t list -> int
 
 val is_data : kind -> bool
 val is_context : kind -> bool
-val pp : Format.formatter -> t -> unit

@@ -94,7 +94,7 @@ type stored = {
 }
 
 module Durable = struct
-  let schema_version = 1
+  let schema_version = 2
 
   type t = {
     path : string;

@@ -18,18 +18,6 @@ type t = {
   steps : step list;
 }
 
-let instance_label name ~iter = Printf.sprintf "%s@%d" name iter
-
-let parse_label label =
-  match String.rindex_opt label '@' with
-  | None -> None
-  | Some i -> (
-    let name = String.sub label 0 i in
-    let iter = String.sub label (i + 1) (String.length label - i - 1) in
-    match int_of_string_opt iter with
-    | Some iter -> Some (name, iter)
-    | None -> None)
-
 let sum_words pred t =
   Msutil.Listx.sum_by
     (fun step ->
@@ -78,18 +66,18 @@ let pp_summary fmt t =
     t.rf (n_steps t) (data_words_loaded t) (data_words_stored t)
     (context_words_loaded t) Kernel_ir.Cluster.pp_clustering t.clustering
 
-let pp fmt t =
-  pp_summary fmt t;
-  Format.fprintf fmt "@\n";
-  List.iteri
-    (fun i step ->
-      (match step.compute with
-      | Some c ->
-        Format.fprintf fmt "step %d: compute Cl%d round=%d x%d (%d cyc)"
-          i c.cluster.Kernel_ir.Cluster.id c.round c.iterations
-          c.compute_cycles
-      | None -> Format.fprintf fmt "step %d: (dma only)" i);
-      if step.note <> "" then Format.fprintf fmt " [%s]" step.note;
-      Format.fprintf fmt "@\n";
-      List.iter (fun tr -> Format.fprintf fmt "    %a@\n" Dma.pp tr) step.dma)
-    t.steps
+let pp_instance (app : Kernel_ir.Application.t) fmt (data, iter) =
+  match List.find_opt (fun (d : Kernel_ir.Data.t) -> d.id = data) app.data with
+  | Some d -> Format.fprintf fmt "%s@%d" d.name iter
+  | None -> Format.fprintf fmt "#%d@%d" data iter
+
+let pp_transfer app fmt (tr : Dma.t) =
+  match tr.Dma.kind with
+  | Dma.Data { set; direction = Dma.Load; data; iter } ->
+    Format.fprintf fmt "load %a (%dw) -> FB:%a" (pp_instance app) (data, iter)
+      tr.words Morphosys.Frame_buffer.pp_set set
+  | Dma.Data { set; direction = Dma.Store; data; iter } ->
+    Format.fprintf fmt "store %a (%dw) <- FB:%a" (pp_instance app) (data, iter)
+      tr.words Morphosys.Frame_buffer.pp_set set
+  | Dma.Context { cluster } ->
+    Format.fprintf fmt "ctx Cl%d (%dw) -> CM" cluster tr.words

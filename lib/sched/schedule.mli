@@ -8,9 +8,9 @@
     target the frame-buffer set the next computation needs and no
     computation runs on the other set meanwhile).
 
-    Transfer labels follow the convention ["<data-name>@<iteration>"] so the
-    validator can relate transfers to IR objects ({!instance_label} /
-    {!parse_label}). *)
+    A data transfer names the (data id, iteration) instance it moves
+    ({!Morphosys.Dma.kind}); only printers such as {!pp_transfer} render it
+    as ["<data-name>@<iteration>"]. *)
 
 type computation = {
   cluster : Kernel_ir.Cluster.t;
@@ -38,13 +38,6 @@ type t = {
   steps : step list;
 }
 
-val instance_label : string -> iter:int -> string
-(** [instance_label "d1" ~iter:3] is ["d1@3"]. *)
-
-val parse_label : string -> (string * int) option
-(** Inverse of {!instance_label}; [None] for labels without an ["@"] (e.g.
-    context transfers). *)
-
 val data_words_loaded : t -> int
 val data_words_stored : t -> int
 val context_words_loaded : t -> int
@@ -57,5 +50,14 @@ val iterations_in_round : t -> int -> int
 (** [iterations_in_round t r]: RF for every round but possibly the last. *)
 
 val pp_summary : Format.formatter -> t -> unit
-val pp : Format.formatter -> t -> unit
-(** Full step-by-step dump. *)
+
+val pp_instance :
+  Kernel_ir.Application.t -> Format.formatter -> int * int -> unit
+(** A (data id, iteration) instance as ["<data-name>@<iteration>"], or
+    ["#<id>@<iteration>"] for an id the application lacks. *)
+
+val pp_transfer :
+  Kernel_ir.Application.t -> Format.formatter -> Morphosys.Dma.t -> unit
+(** One transfer, data instances as {!pp_instance} renders them:
+    [load d1@3 (64w) -> FB:A], [store r@3 (32w) <- FB:B],
+    [ctx Cl0 (256w) -> CM]. *)

@@ -64,7 +64,7 @@ let context_words ctx_plan e =
    that same FB set; context loads go to the CM and always overlap. *)
 let can_overlap ~computing_set (tr : Dma.t) =
   match tr.Dma.kind with
-  | Dma.Context -> true
+  | Dma.Context _ -> true
   | Dma.Data { set; _ } -> set <> computing_set
 
 let build ?(cross_set = false) config (analysis : Analysis.t) ~rf ~ctx_plan
@@ -82,9 +82,7 @@ let build ?(cross_set = false) config (analysis : Analysis.t) ~rf ~ctx_plan
       List.concat_map
         (fun (d : Data.t) ->
           let xfer iter =
-            make ~set:c.Cluster.fb_set
-              ~label:(Schedule.instance_label d.Data.name ~iter)
-              ~words:d.Data.size
+            make ~set:c.Cluster.fb_set ~data:d.Data.id ~iter ~words:d.Data.size
           in
           if d.Data.invariant then [ xfer 0 ]
           else List.init e.iters (fun i -> xfer (e.base_iter + i)))
@@ -99,11 +97,7 @@ let build ?(cross_set = false) config (analysis : Analysis.t) ~rf ~ctx_plan
       match context_words ctx_plan e with
       | 0 -> []
       | words ->
-        [
-          Dma.context_load
-            ~kernel:(Printf.sprintf "Cl%d" (cluster_of e).Cluster.id)
-            ~words;
-        ]
+        [ Dma.context_load ~cluster:(cluster_of e).Cluster.id ~words ]
   in
   let steps = ref [] in
   let emit step = steps := step :: !steps in
@@ -160,28 +154,27 @@ let estimate (config : Morphosys.Config.t) analysis ~rf ~ctx_plan ~selectors =
   if rf < 1 then invalid_arg "Step_builder.estimate: rf must be >= 1";
   let execs = executions config analysis ~rf in
   let s_max = Array.length execs in
-  let agg select direction =
+  let agg select =
     Array.map
       (fun e ->
-        let c = cluster_of e in
-        let kind = Dma.Data { set = c.Cluster.fb_set; direction } in
         List.fold_left
           (fun (cost, count) (d : Data.t) ->
             let inst = if d.Data.invariant then 1 else e.iters in
-            ( cost + (inst * Dma.words_cost config kind ~words:d.Data.size),
+            ( cost
+              + (inst * Dma.words_cost config ~context:false ~words:d.Data.size),
               count + inst ))
           (0, 0)
-          (select c ~round:e.round))
+          (select (cluster_of e) ~round:e.round))
       execs
   in
-  let loads = agg selectors.load_objects Dma.Load in
-  let stores = agg selectors.store_objects Dma.Store in
+  let loads = agg selectors.load_objects in
+  let stores = agg selectors.store_objects in
   let ctx =
     Array.map
       (fun e ->
         match context_words ctx_plan e with
         | 0 -> 0
-        | words -> Dma.words_cost config Dma.Context ~words)
+        | words -> Dma.words_cost config ~context:true ~words)
       execs
   in
   let get arr s = if s < 0 || s >= s_max then (0, 0) else arr.(s) in

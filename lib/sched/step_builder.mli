@@ -19,8 +19,8 @@ type selectors = {
       (** results to drain from the cluster's set after it runs *)
 }
 (** A scheduler's transfer selection. Each selected object becomes one
-    transfer per iteration of the round, labelled ["name@iter"], or one in
-    total for an invariant object. *)
+    transfer per iteration of the round, keyed by its (data id, iteration)
+    instance, or one in total (iteration 0) for an invariant object. *)
 
 val build :
   ?cross_set:bool ->

@@ -37,7 +37,7 @@ let run_timed config (schedule : Schedule.t) =
             | Dma.Data { direction = Dma.Load; _ } -> loads := !loads + tr.words
             | Dma.Data { direction = Dma.Store; _ } ->
               stores := !stores + tr.words
-            | Dma.Context -> ctx := !ctx + tr.words)
+            | Dma.Context _ -> ctx := !ctx + tr.words)
           step.dma;
         { step; start_cycle; end_cycle = !clock; dma_cost; compute_cost })
       schedule.steps

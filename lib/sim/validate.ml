@@ -9,9 +9,45 @@ type violation = { step_index : int; message : string }
 let pp_violation fmt v =
   Format.fprintf fmt "step %d: %s" v.step_index v.message
 
+(* Built once per [check]: the data by id and every kernel's inputs and
+   outputs, ordered by data id. Hashtables, because the ids a hand-built
+   schedule names can be sparse or hostile. *)
+type tables = {
+  data : (int, Data.t) Hashtbl.t;
+  inputs : (Kernel_ir.Kernel.id, Data.t list) Hashtbl.t;
+  outputs : (Kernel_ir.Kernel.id, Data.t list) Hashtbl.t;
+}
+
+let tables_of (app : Application.t) =
+  let t =
+    {
+      data = Hashtbl.create (List.length app.data);
+      inputs = Hashtbl.create 64;
+      outputs = Hashtbl.create 64;
+    }
+  in
+  let add tbl kid d =
+    Hashtbl.replace tbl kid
+      (d :: Option.value ~default:[] (Hashtbl.find_opt tbl kid))
+  in
+  List.iter
+    (fun (d : Data.t) ->
+      Hashtbl.replace t.data d.id d;
+      List.iter (fun kid -> add t.inputs kid d) d.consumers;
+      match d.producer with
+      | Data.Produced_by kid -> add t.outputs kid d
+      | Data.External -> ())
+    (List.rev app.data);
+  t
+
+let of_kernel tbl kid = Option.value ~default:[] (Hashtbl.find_opt tbl kid)
+
+(* Residency and stores are keyed on (data id, iteration) instances. *)
 type state = {
-  resident : (Fb.set * string, unit) Hashtbl.t;
-  stored : (string, int) Hashtbl.t;
+  app : Application.t;
+  tables : tables;
+  resident : (Fb.set * int * int, unit) Hashtbl.t;
+  stored : (int * int, int) Hashtbl.t;
   executed : (int * int, unit) Hashtbl.t;
   mutable violations : violation list;
 }
@@ -22,16 +58,17 @@ let report state step_index fmt =
       state.violations <- { step_index; message } :: state.violations)
     fmt
 
-let mark_resident state set label =
-  Hashtbl.replace state.resident (set, label) ()
+let mark_resident state set data iter =
+  Hashtbl.replace state.resident (set, data, iter) ()
 
-let is_resident state set label = Hashtbl.mem state.resident (set, label)
+let is_resident state set data iter =
+  Hashtbl.mem state.resident (set, data, iter)
 
-let is_readable state ~cross_set set label =
-  is_resident state set label
-  || (cross_set && is_resident state (Fb.other set) label)
+let is_readable state ~cross_set set data iter =
+  is_resident state set data iter
+  || (cross_set && is_resident state (Fb.other set) data iter)
 
-let check_compute state app i (c : Schedule.computation) ~rf ~cross_set =
+let check_compute state i (c : Schedule.computation) ~rf ~cross_set =
   let cluster = c.Schedule.cluster in
   let set = cluster.Kernel_ir.Cluster.fb_set in
   let base = c.Schedule.round * rf in
@@ -46,50 +83,46 @@ let check_compute state app i (c : Schedule.computation) ~rf ~cross_set =
       (fun kid ->
         List.iter
           (fun (d : Data.t) ->
-            let label =
-              Schedule.instance_label d.name ~iter:(Data.instance_iter d g)
-            in
-            if not (is_readable state ~cross_set set label) then
+            let iter = Data.instance_iter d g in
+            if not (is_readable state ~cross_set set d.id iter) then
               report state i
-                "kernel %d of cluster %d reads %s but it is not resident in \
-                 set %s"
-                kid cluster.Kernel_ir.Cluster.id label (Fb.set_to_string set))
-          (Application.inputs_of app kid);
+                "kernel %d of cluster %d reads %s@%d but it is not resident \
+                 in set %s"
+                kid cluster.Kernel_ir.Cluster.id d.name iter
+                (Fb.set_to_string set))
+          (of_kernel state.tables.inputs kid);
         List.iter
-          (fun (d : Data.t) ->
-            mark_resident state set (Schedule.instance_label d.name ~iter:g))
-          (Application.outputs_of app kid))
+          (fun (d : Data.t) -> mark_resident state set d.id g)
+          (of_kernel state.tables.outputs kid))
       cluster.Kernel_ir.Cluster.kernels
   done
 
-let check_dma state app i ~computing_set (tr : Dma.t) =
+let check_dma state i ~computing_set (tr : Dma.t) =
   (match (computing_set, tr.Dma.kind) with
   | Some cset, Dma.Data { set; _ } when set = cset ->
-    report state i "transfer %a touches the computing set %s" Dma.pp tr
-      (Fb.set_to_string cset)
+    report state i "transfer %a touches the computing set %s"
+      (Schedule.pp_transfer state.app) tr (Fb.set_to_string cset)
   | _ -> ());
   match tr.Dma.kind with
-  | Dma.Context -> ()
-  | Dma.Data { set; direction } -> (
-    (match Schedule.parse_label tr.Dma.label with
-    | None -> report state i "unparsable data label %S" tr.Dma.label
-    | Some (name, _) -> (
-      match Application.data_by_name_opt app name with
-      | Some (_ : Data.t) -> ()
-      | None -> report state i "transfer references unknown data %S" name));
+  | Dma.Context _ -> ()
+  | Dma.Data { set; direction; data; iter } -> (
+    if not (Hashtbl.mem state.tables.data data) then
+      report state i "transfer references unknown data id %d" data;
     match direction with
-    | Dma.Load -> mark_resident state set tr.Dma.label
+    | Dma.Load -> mark_resident state set data iter
     | Dma.Store ->
-      if not (is_resident state set tr.Dma.label) then
-        report state i "store of %s from set %s but it is not resident"
-          tr.Dma.label (Fb.set_to_string set);
-      Hashtbl.replace state.stored tr.Dma.label
-        (1 + Option.value ~default:0 (Hashtbl.find_opt state.stored tr.Dma.label)))
+      if not (is_resident state set data iter) then
+        report state i "store of %a from set %s but it is not resident"
+          (Schedule.pp_instance state.app) (data, iter) (Fb.set_to_string set);
+      Hashtbl.replace state.stored (data, iter)
+        (1 + Option.value ~default:0 (Hashtbl.find_opt state.stored (data, iter))))
 
 let check (schedule : Schedule.t) =
   let app = schedule.app in
   let state =
     {
+      app;
+      tables = tables_of app;
       resident = Hashtbl.create 1024;
       stored = Hashtbl.create 1024;
       executed = Hashtbl.create 1024;
@@ -105,21 +138,20 @@ let check (schedule : Schedule.t) =
       in
       (match step.compute with
       | Some c ->
-        check_compute state app i c ~rf:schedule.rf
+        check_compute state i c ~rf:schedule.rf
           ~cross_set:schedule.cross_set
       | None -> ());
-      List.iter (check_dma state app i ~computing_set) step.dma)
+      List.iter (check_dma state i ~computing_set) step.dma)
     schedule.steps;
   let last = List.length schedule.steps in
   (* Output completeness: every final result of every iteration stored once. *)
   List.iter
     (fun (d : Data.t) ->
       for g = 0 to app.Application.iterations - 1 do
-        let label = Schedule.instance_label d.name ~iter:g in
-        match Option.value ~default:0 (Hashtbl.find_opt state.stored label) with
+        match Option.value ~default:0 (Hashtbl.find_opt state.stored (d.id, g)) with
         | 1 -> ()
-        | 0 -> report state last "final result %s never stored" label
-        | n -> report state last "final result %s stored %d times" label n
+        | 0 -> report state last "final result %s@%d never stored" d.name g
+        | n -> report state last "final result %s@%d stored %d times" d.name g n
       done)
     (Application.final_results app);
   (* Coverage: every cluster executes every iteration. *)

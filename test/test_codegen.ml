@@ -106,6 +106,26 @@ let test_interp_fault_on_bad_store () =
   | exception Codegen.Interp.Fault _ -> ()
   | _ -> Alcotest.fail "expected a fault"
 
+(* A transfer naming a data id the application lacks cannot lower: the
+   firewall returns a diagnostic instead of raising. *)
+let test_emit_unknown_data_is_error () =
+  let s = ds_schedule () in
+  let ghost = Morphosys.Dma.data_load ~set:Fb.Set_a ~data:999 ~iter:0 ~words:4 in
+  let steps =
+    match s.Sched.Schedule.steps with
+    | first :: rest ->
+      { first with Sched.Schedule.dma = ghost :: first.Sched.Schedule.dma }
+      :: rest
+    | [] -> Alcotest.fail "empty schedule"
+  in
+  match Codegen.Emit.program_result { s with Sched.Schedule.steps } with
+  | exception e ->
+    Alcotest.failf "program_result raised %s" (Printexc.to_string e)
+  | Ok _ -> Alcotest.fail "unknown data id must not lower"
+  | Error diag ->
+    Alcotest.(check bool) "names the id" true
+      (Astring_contains.contains (Diag.render diag) "unknown data id 999")
+
 let test_interp_fault_on_missing_halt () =
   match Codegen.Interp.run config [ I.Dma_wait ] with
   | exception Codegen.Interp.Fault _ -> ()
@@ -322,6 +342,8 @@ let tests =
       Alcotest.test_case "interp = executor (table1)" `Quick
         test_interp_matches_executor_table1;
       Alcotest.test_case "fault: bad store" `Quick test_interp_fault_on_bad_store;
+      Alcotest.test_case "emit: unknown data id is an error" `Quick
+        test_emit_unknown_data_is_error;
       Alcotest.test_case "fault: missing halt" `Quick
         test_interp_fault_on_missing_halt;
       Alcotest.test_case "fault: oversized context" `Quick

@@ -231,6 +231,28 @@ let test_identity_guards () =
     Alcotest.(check bool) "points at --resume" true
       (contains (Diag.render diag) "--resume")
 
+(* A store written under the previous payload schema (string-labelled
+   transfers) must be refused on resume — never [Marshal]-read into the
+   current [Sched.Schedule.t] layout. *)
+let test_old_schema_refused () =
+  let app, clustering = mpeg () in
+  with_path @@ fun path ->
+  (match Engine.Store.open_ ~schema:(Durable.schema_version - 1) path with
+  | Error diag -> Alcotest.failf "create: %s" (Diag.render diag)
+  | Ok store ->
+    Engine.Store.append store ~key:"old" ~payload:"old-layout record";
+    Engine.Store.close store);
+  match Durable.open_ ~resume:true ~path ~fb_list app clustering with
+  | Ok d ->
+    Durable.close d;
+    Alcotest.fail "a previous-schema store must be refused"
+  | Error diag ->
+    Alcotest.(check bool) "SWEEP_MISMATCH" true
+      (diag.Diag.code = Diag.Sweep_mismatch);
+    Alcotest.(check bool) "names the schema versions" true
+      (contains (Diag.render diag)
+         (Printf.sprintf "schema version %d" (Durable.schema_version - 1)))
+
 let test_cache_clear_replays_from_store () =
   (* pins the documented Cache.clear contract: clearing empties only the
      memory, and the next durable sweep repopulates it from disk with
@@ -269,4 +291,6 @@ let tests =
         test_identity_guards;
       Alcotest.test_case "Cache.clear then replay from store" `Quick
         test_cache_clear_replays_from_store;
+      Alcotest.test_case "previous-schema store refused" `Quick
+        test_old_schema_refused;
     ] )

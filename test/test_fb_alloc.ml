@@ -108,62 +108,66 @@ let prop_fl_random_ops =
 
 (* -- Layout --------------------------------------------------------------- *)
 
+(* Layouts keyed by (data id, iteration) instances, as the allocator keys
+   them; [name] renders a key for messages and snapshots. *)
+let instance_layout ~size =
+  Layout.create ~size ~name:(fun (d, g) -> Printf.sprintf "d%d@%d" d g)
+
 let test_layout_place_release () =
-  let lay = Layout.create ~size:100 in
-  (match Layout.place lay ~label:"x" ~words:30 ~from:Free_list.Upper with
+  let lay = instance_layout ~size:100 in
+  (match Layout.place lay ~key:(7, 2) ~words:30 ~from:Free_list.Upper with
   | Some p ->
     Alcotest.check ivs "upper placement" (iv 70 100) (List.hd p.Layout.intervals)
   | None -> Alcotest.fail "place failed");
-  Alcotest.(check bool) "placed" true (Layout.placed lay ~label:"x");
+  Alcotest.(check bool) "placed" true (Layout.placed lay ~key:(7, 2));
+  Alcotest.(check bool) "other iteration not placed" false
+    (Layout.placed lay ~key:(7, 3));
   Alcotest.(check int) "free" 70 (Layout.free_words lay);
-  Layout.release lay ~label:"x";
-  Alcotest.(check bool) "released" false (Layout.placed lay ~label:"x");
+  Layout.release lay ~key:(7, 2);
+  Alcotest.(check bool) "released" false (Layout.placed lay ~key:(7, 2));
   Alcotest.(check int) "free again" 100 (Layout.free_words lay);
-  (match Layout.release lay ~label:"x" with
+  match Layout.release lay ~key:(7, 2) with
   | exception Invalid_argument msg ->
-    Alcotest.(check bool) "error names the label" true
-      (Astring_contains.contains msg "x")
-  | () -> Alcotest.fail "double release must fail");
-  match Layout.placement_of_opt lay ~label:"x" with
-  | None -> ()
-  | Some _ -> Alcotest.fail "released label must have no placement"
+    Alcotest.(check bool) "error names the key" true
+      (Astring_contains.contains msg "d7@2")
+  | () -> Alcotest.fail "double release must fail"
 
 let test_layout_regularity () =
-  let lay = Layout.create ~size:100 in
+  let lay = instance_layout ~size:100 in
   let first =
-    match Layout.place lay ~label:"d@0" ~words:20 ~from:Free_list.Upper with
+    match Layout.place lay ~key:(0, 0) ~words:20 ~from:Free_list.Upper with
     | Some p -> p.Layout.intervals
     | None -> Alcotest.fail "place failed"
   in
-  (* occupy some other space, release d@0, place other stuff lower, then
-     re-place d@0: it must return to its old address *)
-  ignore (Layout.place lay ~label:"other" ~words:10 ~from:Free_list.Lower);
-  Layout.release lay ~label:"d@0";
-  match Layout.place lay ~label:"d@0" ~words:20 ~from:Free_list.Lower with
+  (* occupy some other space, release d0@0, place other stuff lower, then
+     re-place d0@0: it must return to its old address *)
+  ignore (Layout.place lay ~key:(1, 0) ~words:10 ~from:Free_list.Lower);
+  Layout.release lay ~key:(0, 0);
+  match Layout.place lay ~key:(0, 0) ~words:20 ~from:Free_list.Lower with
   | Some p ->
     Alcotest.(check bool) "regular re-placement" true (p.Layout.intervals = first)
   | None -> Alcotest.fail "replace failed"
 
 let test_layout_split_counting () =
-  let lay = Layout.create ~size:100 in
-  ignore (Layout.place lay ~label:"a" ~words:40 ~from:Free_list.Lower);
-  ignore (Layout.place lay ~label:"b" ~words:20 ~from:Free_list.Lower);
-  ignore (Layout.place lay ~label:"c" ~words:40 ~from:Free_list.Lower);
-  Layout.release lay ~label:"a";
-  Layout.release lay ~label:"c";
+  let lay = Layout.create ~size:100 ~name:Fun.id in
+  ignore (Layout.place lay ~key:"a" ~words:40 ~from:Free_list.Lower);
+  ignore (Layout.place lay ~key:"b" ~words:20 ~from:Free_list.Lower);
+  ignore (Layout.place lay ~key:"c" ~words:40 ~from:Free_list.Lower);
+  Layout.release lay ~key:"a";
+  Layout.release lay ~key:"c";
   (* free: [0,40) and [60,100) — a 70-word object must split *)
-  (match Layout.place lay ~label:"big" ~words:70 ~from:Free_list.Lower with
+  (match Layout.place lay ~key:"big" ~words:70 ~from:Free_list.Lower with
   | Some p -> Alcotest.(check bool) "split parts" true (List.length p.Layout.intervals = 2)
   | None -> Alcotest.fail "split place failed");
   Alcotest.(check int) "split counted" 1 (Layout.splits lay);
   Alcotest.(check int) "placements counted" 4 (Layout.placements_done lay);
   Alcotest.(check bool) "invariant" true (Layout.invariant_ok lay);
   Alcotest.(check bool) "impossible returns None" true
-    (Layout.place lay ~label:"huge" ~words:200 ~from:Free_list.Lower = None)
+    (Layout.place lay ~key:"huge" ~words:200 ~from:Free_list.Lower = None)
 
 let test_layout_snapshot_render () =
-  let lay = Layout.create ~size:32 in
-  ignore (Layout.place lay ~label:"top" ~words:16 ~from:Free_list.Upper);
+  let lay = Layout.create ~size:32 ~name:Fun.id in
+  ignore (Layout.place lay ~key:"top" ~words:16 ~from:Free_list.Upper);
   let snap = Layout.snapshot lay in
   Alcotest.(check (option string)) "upper cell" (Some "top") snap.(31);
   Alcotest.(check (option string)) "lower cell" None snap.(0);
@@ -173,9 +177,9 @@ let test_layout_snapshot_render () =
   Alcotest.(check string) "empty render" "" (Layout.render_snapshots ~labels:[] [])
 
 let test_frag_stats () =
-  let lay = Layout.create ~size:100 in
-  ignore (Layout.place lay ~label:"a" ~words:20 ~from:Free_list.Lower);
-  ignore (Layout.place lay ~label:"b" ~words:20 ~from:Free_list.Upper);
+  let lay = Layout.create ~size:100 ~name:Fun.id in
+  ignore (Layout.place lay ~key:"a" ~words:20 ~from:Free_list.Lower);
+  ignore (Layout.place lay ~key:"b" ~words:20 ~from:Free_list.Upper);
   let stats = Frag_stats.of_layout lay in
   Alcotest.(check int) "free" 60 stats.Frag_stats.free_words;
   Alcotest.(check int) "largest" 60 stats.Frag_stats.largest_free;
@@ -187,16 +191,16 @@ let prop_layout_invariant =
   let gen = QCheck.Gen.(list_size (int_range 1 40) (int_range 2 30)) in
   QCheck.Test.make ~name:"layout invariant under random place/release"
     ~count:150 (QCheck.make gen) (fun sizes ->
-      let lay = Layout.create ~size:256 in
+      let lay = Layout.create ~size:256 ~name:Fun.id in
       List.iteri
         (fun i words ->
-          let label = "o" ^ string_of_int i in
+          let key = "o" ^ string_of_int i in
           if i mod 4 = 3 then (
             let prev = "o" ^ string_of_int (i - 1) in
-            if Layout.placed lay ~label:prev then Layout.release lay ~label:prev)
+            if Layout.placed lay ~key:prev then Layout.release lay ~key:prev)
           else
             ignore
-              (Layout.place lay ~label ~words
+              (Layout.place lay ~key ~words
                  ~from:(if i mod 2 = 0 then Free_list.Lower else Free_list.Upper)))
         sizes;
       Layout.invariant_ok lay)

@@ -56,6 +56,13 @@ let test_split_footprint () =
     (Sched.Reuse_factor.common_split ~fb_set_size:1024
        ~footprints:splits ~iterations:100)
 
+(* Is [tr] a data transfer of the table's single instance ("tbl@0")? *)
+let is_tbl_instance app (tr : Morphosys.Dma.t) =
+  match tr.Morphosys.Dma.kind with
+  | Morphosys.Dma.Data { data; iter; _ } ->
+    data = (Kernel_ir.Application.data_by_name app "tbl").Data.id && iter = 0
+  | Morphosys.Dma.Context _ -> false
+
 let test_ds_loads_once_per_round () =
   let app = app_with_table () in
   let clustering = clustering app in
@@ -74,9 +81,7 @@ let test_ds_loads_once_per_round () =
         (fun (step : Schedule.step) ->
           List.length
             (List.filter
-               (fun (tr : Morphosys.Dma.t) ->
-                 tr.Morphosys.Dma.label = "tbl@0"
-                 && Morphosys.Dma.is_data tr.Morphosys.Dma.kind)
+               (is_tbl_instance app)
                step.Schedule.dma))
         s.Schedule.steps
     in
@@ -110,9 +115,7 @@ let test_cds_retains_across_rounds () =
         (fun (step : Schedule.step) ->
           List.length
             (List.filter
-               (fun (tr : Morphosys.Dma.t) ->
-                 tr.Morphosys.Dma.label = "tbl@0"
-                 && Morphosys.Dma.is_data tr.Morphosys.Dma.kind)
+               (is_tbl_instance app)
                step.Schedule.dma))
         s.Schedule.steps
     in

@@ -61,12 +61,16 @@ let test_schedule_pp () =
   with
   | Error e -> Alcotest.fail (Diag.to_string e)
   | Ok s ->
-    let text = Format.asprintf "%a" Sched.Schedule.pp s in
+    let text =
+      Format.asprintf "%a@\n%a" Sched.Schedule.pp_summary s
+        (Format.pp_print_list (Sched.Schedule.pp_transfer app))
+        (List.concat_map (fun (st : Sched.Schedule.step) -> st.dma) s.steps)
+    in
     List.iter
       (fun needle ->
         Alcotest.(check bool) ("pp mentions " ^ needle) true
           (Astring_contains.contains text needle))
-      [ "ds:"; "rf="; "step 0"; "compute Cl0"; "load " ]
+      [ "ds:"; "rf="; "load a@0"; "store f3@0"; "ctx Cl0" ]
 
 let test_figure5_snapshot_order () =
   (* golden ordering of the Figure 5 snapshot captions: load phase, then

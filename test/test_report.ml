@@ -35,7 +35,7 @@ let test_dma_setup_cost () =
   let base = Morphosys.Config.make ~fb_set_size:64 () in
   let priced = Morphosys.Config.make ~fb_set_size:64 ~dma_setup_cycles:10 () in
   let tr = Morphosys.Dma.data_load ~set:Morphosys.Frame_buffer.Set_a
-      ~label:"d@0" ~words:8 in
+      ~data:0 ~iter:0 ~words:8 in
   Alcotest.(check int) "free setup" 8 (Morphosys.Dma.cost base tr);
   Alcotest.(check int) "priced setup" 18 (Morphosys.Dma.cost priced tr);
   match Morphosys.Config.make ~fb_set_size:64 ~dma_setup_cycles:(-1) () with

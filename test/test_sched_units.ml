@@ -95,14 +95,29 @@ let test_kernel_scheduler_greedy_feasible () =
     Alcotest.(check int) "cycles" 10 cycles
   | None -> Alcotest.fail "greedy found nothing"
 
+(* Transfers carry (data id, iteration) keys; only the printers render
+   them as "name@iter", after the application's data. *)
 let test_schedule_labels () =
-  Alcotest.(check string) "label" "d1@3" (Schedule.instance_label "d1" ~iter:3);
-  Alcotest.(check (option (pair string int))) "parse" (Some ("d1", 3))
-    (Schedule.parse_label "d1@3");
-  Alcotest.(check (option (pair string int))) "parse ctx label" None
-    (Schedule.parse_label "Cl0");
-  Alcotest.(check (option (pair string int))) "name containing @" (Some ("a@b", 2))
-    (Schedule.parse_label "a@b@2")
+  let app = Fixtures.toy () in
+  let id = (Kernel_ir.Application.data_by_name app "r01").Kernel_ir.Data.id in
+  let show pp v = Format.asprintf "%a" pp v in
+  Alcotest.(check string) "instance" "r01@3"
+    (show (Schedule.pp_instance app) (id, 3));
+  Alcotest.(check string) "unknown id" "#99@0"
+    (show (Schedule.pp_instance app) (99, 0));
+  Alcotest.(check string) "load"
+    "load r01@3 (40w) -> FB:B"
+    (show (Schedule.pp_transfer app)
+       (Morphosys.Dma.data_load ~set:Morphosys.Frame_buffer.Set_b ~data:id
+          ~iter:3 ~words:40));
+  Alcotest.(check string) "store"
+    "store r01@3 (40w) <- FB:A"
+    (show (Schedule.pp_transfer app)
+       (Morphosys.Dma.data_store ~set:Morphosys.Frame_buffer.Set_a ~data:id
+          ~iter:3 ~words:40));
+  Alcotest.(check string) "context" "ctx Cl1 (256w) -> CM"
+    (show (Schedule.pp_transfer app)
+       (Morphosys.Dma.context_load ~cluster:1 ~words:256))
 
 let test_schedule_rounds () =
   let app = Fixtures.toy () in

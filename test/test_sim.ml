@@ -8,6 +8,14 @@ module Metrics = Msim.Metrics
 
 let config = Morphosys.Config.m1 ~fb_set_size:1024
 
+let id_of app name = (Kernel_ir.Application.data_by_name app name).Kernel_ir.Data.id
+
+(* Is [tr] a data transfer of the named object (any iteration)? *)
+let moves app name (tr : Dma.t) =
+  match tr.Dma.kind with
+  | Dma.Data { data; _ } -> data = id_of app name
+  | Dma.Context _ -> false
+
 let ds_schedule () =
   let app = Fixtures.toy () in
   let clustering = Fixtures.toy_clustering app in
@@ -29,7 +37,7 @@ let hand_schedule () =
     [
       {
         Schedule.compute = None;
-        dma = [ Dma.data_load ~set:Fb.Set_a ~label:"a@0" ~words:100 ];
+        dma = [ Dma.data_load ~set:Fb.Set_a ~data:(id_of app "a") ~iter:0 ~words:100 ];
         note = "prime";
       };
       {
@@ -41,12 +49,12 @@ let hand_schedule () =
               iterations = 1;
               compute_cycles = 400;
             };
-        dma = [ Dma.data_load ~set:Fb.Set_b ~label:"b@0" ~words:150 ];
+        dma = [ Dma.data_load ~set:Fb.Set_b ~data:(id_of app "b") ~iter:0 ~words:150 ];
         note = "";
       };
       {
         Schedule.compute = None;
-        dma = [ Dma.data_store ~set:Fb.Set_a ~label:"a@0" ~words:50 ];
+        dma = [ Dma.data_store ~set:Fb.Set_a ~data:(id_of app "a") ~iter:0 ~words:50 ];
         note = "drain";
       };
     ]
@@ -103,11 +111,8 @@ let test_validator_catches_missing_load () =
           Schedule.dma =
             List.filter
               (fun (tr : Dma.t) ->
-                match Schedule.parse_label tr.Dma.label with
-                | Some ("a", _) ->
-                  (match tr.Dma.kind with
-                  | Dma.Data { direction = Dma.Load; _ } -> false
-                  | _ -> true)
+                match tr.Dma.kind with
+                | Dma.Data { direction = Dma.Load; _ } -> not (moves s.app "a" tr)
                 | _ -> true)
               step.Schedule.dma;
         })
@@ -125,10 +130,7 @@ let test_validator_catches_missing_final_store () =
           step with
           Schedule.dma =
             List.filter
-              (fun (tr : Dma.t) ->
-                match Schedule.parse_label tr.Dma.label with
-                | Some ("f3", _) -> false
-                | _ -> true)
+              (fun (tr : Dma.t) -> not (moves s.app "f3" tr))
               step.Schedule.dma;
         })
       s.Schedule.steps
@@ -151,7 +153,7 @@ let test_validator_catches_set_conflict () =
           let bad =
             Dma.data_load
               ~set:c.Schedule.cluster.Kernel_ir.Cluster.fb_set
-              ~label:"a@0" ~words:4
+              ~data:(id_of s.app "a") ~iter:0 ~words:4
           in
           { step with Schedule.dma = bad :: step.Schedule.dma }
         | None -> step)
@@ -164,26 +166,38 @@ let test_validator_catches_set_conflict () =
          Astring_contains.contains v.Msim.Validate.message "computing set")
        violations)
 
+(* Ids absent from the app — negative and past the largest — are each
+   flagged, never looked up out of range. *)
 let test_validator_catches_unknown_data () =
   let s = ds_schedule () in
-  let steps =
-    match s.Schedule.steps with
-    | first :: rest ->
-      {
-        first with
-        Schedule.dma =
-          Dma.data_load ~set:Fb.Set_a ~label:"ghost@0" ~words:4
-          :: first.Schedule.dma;
-      }
-      :: rest
-    | [] -> []
+  let max_id =
+    List.fold_left
+      (fun m (d : Kernel_ir.Data.t) -> max m d.Kernel_ir.Data.id)
+      0 s.app.Kernel_ir.Application.data
   in
-  let violations = Msim.Validate.check { s with Schedule.steps } in
-  Alcotest.(check bool) "unknown data caught" true
-    (List.exists
-       (fun (v : Msim.Validate.violation) ->
-         Astring_contains.contains v.Msim.Validate.message "unknown data")
-       violations)
+  List.iter
+    (fun ghost ->
+      let steps =
+        match s.Schedule.steps with
+        | first :: rest ->
+          {
+            first with
+            Schedule.dma =
+              Dma.data_load ~set:Fb.Set_a ~data:ghost ~iter:0 ~words:4
+              :: first.Schedule.dma;
+          }
+          :: rest
+        | [] -> []
+      in
+      let violations = Msim.Validate.check { s with Schedule.steps } in
+      Alcotest.(check bool)
+        (Printf.sprintf "unknown data id %d caught" ghost)
+        true
+        (List.exists
+           (fun (v : Msim.Validate.violation) ->
+             Astring_contains.contains v.Msim.Validate.message "unknown data")
+           violations))
+    [ -1; max_id + 1 ]
 
 let test_validator_check_exn () =
   match Msim.Validate.check_exn (hand_schedule ()) with

@@ -1,5 +1,3 @@
-open Msutil
-
 let checkf = Alcotest.(check (float 1e-9))
 
 let test_mean () =

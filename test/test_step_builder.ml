@@ -77,7 +77,7 @@ let test_overlap_legality_in_all_steps () =
               | Dma.Data { set; _ } ->
                 Alcotest.(check bool) "no transfer touches computing set" true
                   (set <> cset)
-              | Dma.Context -> ())
+              | Dma.Context _ -> ())
             step.Schedule.dma)
       s.Schedule.steps
 
@@ -128,9 +128,15 @@ let test_xfer_gen_plain_vs_store_everything () =
   in
   Alcotest.(check int) "same loads" (load_words plain) (load_words all);
   Alcotest.(check int) "two iterations of a+b" 300 (load_words plain);
-  Alcotest.(check (list string)) "labelled per iteration"
+  Alcotest.(check (list string)) "one instance per iteration"
     [ "a@0"; "a@1"; "b@0"; "b@1" ]
-    (List.map (fun (tr : Dma.t) -> tr.Dma.label) (primed_loads plain))
+    (List.map
+       (fun (tr : Dma.t) ->
+         match tr.Dma.kind with
+         | Dma.Data { data; iter; _ } ->
+           Format.asprintf "%a" (Schedule.pp_instance app) (data, iter)
+         | Dma.Context _ -> "ctx")
+       (primed_loads plain))
 
 (* The scheduler-side cost estimate is exactly the simulator's total. *)
 let prop_cost_estimate_equals_executor =
