@@ -73,12 +73,16 @@ let run_full ?(retention = true) ?(cross_set = false)
            "some cluster's DS(C) exceeds the FB set of %dw"
            config.fb_set_size)
     | rf_max ->
-      (* Retention is recomputed per candidate RF: pinned copies scale
-         with RF. *)
+      (* Retention is recomputed per candidate RF (pinned copies scale
+         with RF) over inputs prepared once. *)
+      let prepared =
+        if retention then Some (Retention.prepare ~cross_set ctx) else None
+      in
       let select rf =
         let decision =
-          if retention then Retention.choose_ctx ~cross_set config ctx ~rf
-          else Retention.none
+          match prepared with
+          | Some p -> Retention.choose config p ~rf
+          | None -> Retention.none
         in
         (decision, selectors_ctx analysis decision)
       in

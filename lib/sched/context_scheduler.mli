@@ -6,7 +6,14 @@
     Policy: clusters are pinned greedily by descending context size while
     the pinned total still leaves room for the largest pair of consecutive
     unpinned clusters (the running one and the prefetched one must coexist).
-    Pinned clusters transfer their contexts only on the first round. *)
+    Pinned clusters transfer their contexts only on the first round.
+
+    Cost: O(n log n) for n clusters. The unpinned clusters form a cyclic
+    list in id order and a {!Msutil.Max_tree} holds the words of every live
+    consecutive pair, so trying a candidate replaces its two pairs by one
+    and reads the maximum instead of re-deriving the pinned sum and the
+    reserve. The test oracle keeps the list-based O(n^3) planner, and a
+    property test requires both to return the same plan. *)
 
 type plan = {
   pinned : int list;  (** cluster ids resident for the whole run *)
@@ -21,11 +28,11 @@ val plan_of_analysis :
     offending cluster when some single cluster's contexts exceed the CM
     capacity — no schedule can run that clustering. *)
 
-val load_words_for_round :
-  plan -> profile:Kernel_ir.Info_extractor.cluster_profile -> round:int ->
-  int
-(** Context words the DMA must move for the profile's cluster at the given
-    round: its full context set on round 0, afterwards only if it is not
-    pinned. *)
+val load_words_by_cluster :
+  plan -> Kernel_ir.Analysis.t -> round:int -> int array
+(** By cluster id of the analysis the plan was made for: the context words
+    the DMA must move for that cluster at the given round, its full
+    context set on round 0 and afterwards only if it is not pinned. One
+    O(clusters) pass. *)
 
 val pp_plan : Format.formatter -> plan -> unit

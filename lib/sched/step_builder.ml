@@ -20,14 +20,17 @@ type execution = {
   iters : int;
   base_iter : int;
   compute_cycles : int;
+  context_words : int;  (* CM words its context load moves *)
 }
 
 (* Rounds x clusters, in execution order. An execution computes for
    [iters] iterations of the cluster plus one context broadcast per kernel
    (loop fission lets each kernel keep its configuration for all the
    round's iterations). The broadcast term stays a per-kernel sum because
-   [Rc_array.reconfigure_cycles] rounds up per kernel. *)
-let executions config (analysis : Analysis.t) ~rf =
+   [Rc_array.reconfigure_cycles] rounds up per kernel. Context words come
+   from the plan's per-cluster arrays for round 0 and for the later rounds,
+   which all move the same words. *)
+let executions config (analysis : Analysis.t) ~rf ~ctx_plan =
   let app = analysis.Analysis.app and profiles = analysis.Analysis.profiles in
   let reconfig =
     Array.map
@@ -39,6 +42,8 @@ let executions config (analysis : Analysis.t) ~rf =
           p.IE.cluster.Cluster.kernels)
       profiles
   in
+  let words = Context_scheduler.load_words_by_cluster ctx_plan analysis in
+  let first_words = words ~round:0 and later_words = words ~round:1 in
   let n = app.Application.iterations and n_clusters = Array.length profiles in
   Array.init
     ((n + rf - 1) / rf * n_clusters)
@@ -52,13 +57,11 @@ let executions config (analysis : Analysis.t) ~rf =
         iters;
         base_iter;
         compute_cycles = (iters * profiles.(c).IE.compute_cycles) + reconfig.(c);
+        context_words =
+          (if round = 0 then first_words.(c) else later_words.(c));
       })
 
 let cluster_of e = e.profile.IE.cluster
-
-let context_words ctx_plan e =
-  Context_scheduler.load_words_for_round ctx_plan ~profile:e.profile
-    ~round:e.round
 
 (* A transfer may overlap a computation on [set] unless it reads or writes
    that same FB set; context loads go to the CM and always overlap. *)
@@ -70,7 +73,7 @@ let can_overlap ~computing_set (tr : Dma.t) =
 let build ?(cross_set = false) config (analysis : Analysis.t) ~rf ~ctx_plan
     ~selectors ~scheduler =
   if rf < 1 then invalid_arg "Step_builder.build: rf must be >= 1";
-  let execs = executions config analysis ~rf in
+  let execs = executions config analysis ~rf ~ctx_plan in
   let s_max = Array.length execs in
   (* One transfer per (object, iteration) instance; one constant copy of an
      invariant object serves every iteration of the round. *)
@@ -94,7 +97,7 @@ let build ?(cross_set = false) config (analysis : Analysis.t) ~rf ~ctx_plan
     if s >= s_max then []
     else
       let e = execs.(s) in
-      match context_words ctx_plan e with
+      match e.context_words with
       | 0 -> []
       | words ->
         [ Dma.context_load ~cluster:(cluster_of e).Cluster.id ~words ]
@@ -152,7 +155,7 @@ let build ?(cross_set = false) config (analysis : Analysis.t) ~rf ~ctx_plan
    round (one total when invariant), each costing [Dma.words_cost]. *)
 let estimate (config : Morphosys.Config.t) analysis ~rf ~ctx_plan ~selectors =
   if rf < 1 then invalid_arg "Step_builder.estimate: rf must be >= 1";
-  let execs = executions config analysis ~rf in
+  let execs = executions config analysis ~rf ~ctx_plan in
   let s_max = Array.length execs in
   let agg select =
     Array.map
@@ -172,7 +175,7 @@ let estimate (config : Morphosys.Config.t) analysis ~rf ~ctx_plan ~selectors =
   let ctx =
     Array.map
       (fun e ->
-        match context_words ctx_plan e with
+        match e.context_words with
         | 0 -> 0
         | words -> Dma.words_cost config ~context:true ~words)
       execs

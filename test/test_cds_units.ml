@@ -239,3 +239,66 @@ let tests =
     Alcotest.test_case "tf ordering beats naive" `Quick
       test_tf_ordering_beats_naive;
   ])
+
+(* Five single-kernel clusters, sets A B A B A. The shared datum [w]
+   (read by clusters 0 and 4) is retained first under the FIFO order and
+   pins on cluster 2 too, lifting it to 305 + 8 + 100 = 413 words. The
+   invariant table [t] is read by clusters 0 (set A) and 1 (set B), one
+   candidate per set. Retained in set A, it would also be charged to
+   clusters 2 and 4 for the whole run: cluster 2 would need exactly one
+   word more than the 512-word set. The set-B copy fits. *)
+let invariant_after_window_app () =
+  let module B = Kernel_ir.Builder in
+  let b = B.create "invariant_after_window" ~iterations:4 in
+  let b =
+    List.fold_left
+      (fun b i ->
+        B.kernel (Printf.sprintf "k%d" i) ~contexts:16 ~cycles:50 b)
+      b [ 0; 1; 2; 3; 4 ]
+  in
+  let b =
+    b
+    |> B.input "w" ~size:100 ~consumers:[ "k0"; "k4" ]
+    |> B.input ~invariant:true "t" ~size:100 ~consumers:[ "k0"; "k1" ]
+  in
+  List.fold_left
+    (fun b i ->
+      let k = Printf.sprintf "k%d" i in
+      b
+      |> B.input (Printf.sprintf "p%d" i)
+           ~size:(if i = 2 then 305 else 10)
+           ~consumers:[ k ]
+      |> B.final (Printf.sprintf "out%d" i) ~size:8 ~producer:k)
+    b [ 0; 1; 2; 3; 4 ]
+  |> B.build
+
+let test_invariant_after_window () =
+  let app = invariant_after_window_app () in
+  let clustering = Kernel_ir.Cluster.of_partition app [ 1; 1; 1; 1; 1 ] in
+  let ctx = Sched.Sched_ctx.make app clustering in
+  let name (c : Sharing.t) = (Sharing.data c).Kernel_ir.Data.name in
+  let decide fb =
+    let config = Morphosys.Config.m1 ~fb_set_size:fb in
+    let d = Retention.choose_ctx ~ranking:`Fifo config ctx ~rf:1 in
+    Alcotest.(check bool)
+      (Printf.sprintf "FB %d: same decision as the reference" fb)
+      true
+      (d = Oracle.Retention.choose ~ranking:`Fifo config app clustering ~rf:1);
+    d
+  in
+  let tight = decide 512 in
+  Alcotest.(check (list string)) "window datum and set-B table kept"
+    [ "w"; "t" ]
+    (List.map name tight.Retention.retained);
+  Alcotest.(check (list (pair string string)))
+    "table turned down at cluster 2"
+    [ ("t", "cluster 2 would need 1 x 413w + 100w = 513w > FB set 512w") ]
+    (List.map (fun (c, reason) -> (name c, reason)) tight.Retention.rejected);
+  Alcotest.(check (list string)) "one word more fits all" [ "w"; "t"; "t" ]
+    (List.map name (decide 513).Retention.retained)
+
+let tests =
+  (fst tests, snd tests @ [
+    Alcotest.test_case "invariant table after a window pin" `Quick
+      test_invariant_after_window;
+  ])

@@ -80,6 +80,45 @@ let prop_compositions_distinct =
       let cs = Listx.compositions n in
       List.length (List.sort_uniq compare cs) = List.length cs)
 
+(* The max-tree against a plain array: after any sequence of point
+   updates, [max] and every [first_above] query agree with a linear scan. *)
+let prop_max_tree =
+  QCheck.Test.make ~name:"max_tree = linear scan" ~count:300
+    QCheck.(
+      pair
+        (list_of_size Gen.(0 -- 20) (int_range (-50) 50))
+        (list (triple small_nat (int_range (-50) 50) (int_range (-60) 60))))
+    (fun (init, ops) ->
+      let a = Array.of_list init in
+      let n = Array.length a in
+      let t = Max_tree.make n (fun i -> a.(i)) in
+      let naive ~lo ~hi x =
+        let rec go i =
+          if i > Int.min hi (n - 1) then None
+          else if a.(i) > x then Some i
+          else go (i + 1)
+        in
+        go (Int.max lo 0)
+      in
+      List.for_all
+        (fun (i, v, x) ->
+          if n > 0 then begin
+            Max_tree.set t (i mod n) v;
+            a.(i mod n) <- v
+          end;
+          Max_tree.max t = Array.fold_left Int.max min_int a
+          && List.for_all
+               (fun (lo, hi) ->
+                 Max_tree.first_above t ~lo ~hi x = naive ~lo ~hi x)
+               [
+                 (0, n - 1);
+                 (i mod 7, (i mod 7) + (v land 7));
+                 (-1, 3);
+                 (n - 2, n + 2);
+               ]
+          && (n = 0 || Max_tree.get t (i mod n) = a.(i mod n)))
+        ops)
+
 let tests =
   ( "listx",
     [
@@ -95,4 +134,5 @@ let tests =
       Alcotest.test_case "pairs" `Quick test_pairs;
       QCheck_alcotest.to_alcotest prop_take_drop;
       QCheck_alcotest.to_alcotest prop_compositions_distinct;
+      QCheck_alcotest.to_alcotest prop_max_tree;
     ] )

@@ -37,12 +37,11 @@ let test_context_plan_pins_everything_when_roomy () =
   match CS.plan_of_analysis config analysis with
   | Error e -> Alcotest.fail (Diag.to_string e)
   | Ok plan ->
-    let profile = Kernel_ir.Analysis.profile analysis 0 in
     Alcotest.(check (list int)) "all pinned" [ 0; 1 ] plan.CS.pinned;
     Alcotest.(check int) "round 0 loads" 200
-      (CS.load_words_for_round plan ~profile ~round:0);
+      (CS.load_words_by_cluster plan analysis ~round:0).(0);
     Alcotest.(check int) "later rounds free" 0
-      (CS.load_words_for_round plan ~profile ~round:3)
+      (CS.load_words_by_cluster plan analysis ~round:3).(0)
 
 let test_context_plan_reloads_under_pressure () =
   let app = Fixtures.toy () in
@@ -56,8 +55,7 @@ let test_context_plan_reloads_under_pressure () =
   | Ok plan ->
     Alcotest.(check (list int)) "nothing pinned" [ 0; 1 ] plan.CS.reloaded;
     Alcotest.(check int) "reload every round" 200
-      (CS.load_words_for_round plan
-         ~profile:(Kernel_ir.Analysis.profile analysis 1) ~round:5)
+      (CS.load_words_by_cluster plan analysis ~round:5).(1)
 
 let test_context_plan_infeasible () =
   let app = Fixtures.toy () in
@@ -66,6 +64,56 @@ let test_context_plan_infeasible () =
   Alcotest.(check bool) "cluster bigger than CM" true
     (Result.is_error
        (CS.plan_of_analysis config (Kernel_ir.Analysis.make app clustering)))
+
+(* One single-kernel cluster per entry of [words], with that many context
+   words; the plan depends on nothing else. *)
+let plan_for words ~cm_capacity =
+  let b, _ =
+    List.fold_left
+      (fun (b, i) w ->
+        let k = Printf.sprintf "k%d" i in
+        ( b
+          |> Kernel_ir.Builder.kernel k ~contexts:w ~cycles:100
+          |> Kernel_ir.Builder.final (Printf.sprintf "out%d" i) ~size:8
+               ~producer:k,
+          i + 1 ))
+      (Kernel_ir.Builder.create "ctx" ~iterations:2, 0)
+      words
+  in
+  let app = Kernel_ir.Builder.build b in
+  let clustering =
+    Kernel_ir.Cluster.of_partition app (List.map (fun _ -> 1) words)
+  in
+  let config = Morphosys.Config.make ~fb_set_size:1024 ~cm_capacity () in
+  match CS.plan_of_analysis config (Kernel_ir.Analysis.make app clustering) with
+  | Error e -> Alcotest.fail (Diag.to_string e)
+  | Ok plan -> plan
+
+let check_plan name (pinned, reloaded, reserve) (plan : CS.plan) =
+  Alcotest.(check (list int)) (name ^ ": pinned") pinned plan.CS.pinned;
+  Alcotest.(check (list int)) (name ^ ": reloaded") reloaded plan.CS.reloaded;
+  Alcotest.(check int) (name ^ ": reserve") reserve plan.CS.reserve
+
+(* Contexts 300/200/100 in a 600-word CM pin everything, each check at
+   equality: cluster 0 leaves two unpinned (reserve 200 + 100), cluster 1
+   one (reserve 100, not a doubled pair) and cluster 2 none (reserve 0).
+   One word less and no check passes. *)
+let test_context_plan_reserve_cases () =
+  check_plan "all pinned" ([ 0; 1; 2 ], [], 0)
+    (plan_for [ 300; 200; 100 ] ~cm_capacity:600);
+  check_plan "one word short" ([], [ 0; 1; 2 ], 500)
+    (plan_for [ 300; 200; 100 ] ~cm_capacity:599);
+  check_plan "two unpinned" ([], [ 0; 1 ], 400)
+    (plan_for [ 200; 200 ] ~cm_capacity:399)
+
+(* Only the smallest cluster fits: pinning it leaves clusters 0, 2, 3, 4,
+   whose largest consecutive pair is the wrap-around one (4, 0). Equal
+   sizes are tried in id order. *)
+let test_context_plan_wraparound_reserve () =
+  check_plan "wrap-around pair" ([ 1 ], [ 0; 2; 3; 4 ], 1000)
+    (plan_for [ 500; 200; 400; 400; 500 ] ~cm_capacity:1261);
+  check_plan "one word short" ([], [ 0; 1; 2; 3; 4 ], 1000)
+    (plan_for [ 500; 200; 400; 400; 500 ] ~cm_capacity:1199)
 
 let test_kernel_scheduler_enumerate () =
   let app = Fixtures.toy () in
@@ -191,6 +239,10 @@ let tests =
         test_context_plan_reloads_under_pressure;
       Alcotest.test_case "context plan: infeasible" `Quick
         test_context_plan_infeasible;
+      Alcotest.test_case "context plan: 0/1/2-unpinned reserves" `Quick
+        test_context_plan_reserve_cases;
+      Alcotest.test_case "context plan: wrap-around reserve" `Quick
+        test_context_plan_wraparound_reserve;
       Alcotest.test_case "kernel scheduler enumerate" `Quick
         test_kernel_scheduler_enumerate;
       Alcotest.test_case "kernel scheduler best" `Quick test_kernel_scheduler_best;

@@ -181,9 +181,8 @@ let test_context_partial_pinning () =
       plan.Sched.Context_scheduler.reloaded;
     let pinned_cluster = List.hd plan.Sched.Context_scheduler.pinned in
     Alcotest.(check int) "pinned loads once" 0
-      (Sched.Context_scheduler.load_words_for_round plan
-         ~profile:(Kernel_ir.Analysis.profile analysis pinned_cluster)
-         ~round:2)
+      (Sched.Context_scheduler.load_words_by_cluster plan analysis ~round:2)
+        .(pinned_cluster)
 
 let tests =
   ( "step_builder",
