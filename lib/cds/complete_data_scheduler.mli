@@ -37,8 +37,8 @@ val run_full :
     diagnostic under the same conditions as the Data Scheduler (some
     [DS(C)] exceeding the FB set even at RF = 1, or context-memory
     overflow). Profile and DS-formula lookups are O(1) through the
-    context; the retention pass runs incrementally
-    ({!Retention.choose_ctx}). *)
+    context; the retention inputs are prepared once
+    ({!Retention.prepare}) and each candidate RF runs {!Retention.choose}. *)
 
 val run :
   Sched.Sched_ctx.t ->
