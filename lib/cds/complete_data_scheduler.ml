@@ -1,5 +1,4 @@
 module IE = Kernel_ir.Info_extractor
-module Cluster = Kernel_ir.Cluster
 module Data = Kernel_ir.Data
 
 type result = {
@@ -9,46 +8,45 @@ type result = {
   data_words_avoided_per_iteration : int;
 }
 
-(* The objects a cluster loads and stores under a retention decision. The
-   retained candidates are bucketed by data id up front — an object can
-   have one candidate per FB set, since the same shared datum may be
-   retained in both sets — so each per-object retention test is
-   O(bucket). *)
-let selectors_ctx (analysis : Kernel_ir.Analysis.t)
+(* The objects each cluster loads and stores under a retention decision,
+   marked in one pass over the retained candidates: a cluster skips the
+   loads and a producer the stores that retention makes unnecessary. An
+   object can have one candidate per FB set, since the same shared datum
+   may be retained in both sets. A retained invariant table is loaded
+   exactly once, by its first consumer cluster on round 0. *)
+let selection (analysis : Kernel_ir.Analysis.t)
     (decision : Retention.decision) =
-  let profile_of (c : Cluster.t) =
-    Kernel_ir.Analysis.profile analysis c.Cluster.id
+  let profiles = analysis.Kernel_ir.Analysis.profiles in
+  let skip_load = Array.make (Array.length profiles) []
+  and skip_store = Array.make (Array.length profiles) []
+  and once =
+    Array.make (Array.length analysis.Kernel_ir.Analysis.data_index) false
   in
-  let by_id = Hashtbl.create 16 in
   List.iter
     (fun (cand : Sharing.t) ->
-      let id = (Sharing.data cand).Data.id in
-      let prev = try Hashtbl.find by_id id with Not_found -> [] in
-      Hashtbl.replace by_id id (cand :: prev))
+      let d = Sharing.data cand in
+      let mark skip skips c =
+        if skip cand ~cluster_id:c then skips.(c) <- d.Data.id :: skips.(c)
+      in
+      if d.Data.invariant then once.(d.Data.id) <- true;
+      List.iter (mark Sharing.skips_load skip_load) cand.Sharing.beneficiaries;
+      mark Sharing.skips_store skip_store cand.Sharing.first_cluster)
     decision.retained;
-  let bucket (d : Data.t) =
-    try Hashtbl.find by_id d.Data.id with Not_found -> []
+  let keep skips =
+    List.filter (fun (d : Data.t) -> not (List.mem d.Data.id skips))
   in
-  let skipped d ~cluster_id ~skip =
-    List.exists (fun c -> skip c ~cluster_id) (bucket d)
+  let first_loads =
+    Array.mapi (fun c p -> keep skip_load.(c) p.IE.external_inputs) profiles
   in
-  let load_objects (c : Cluster.t) ~round =
-    List.filter
-      (fun (d : Data.t) ->
-        (* a retained invariant table is loaded exactly once, by its first
-           consumer cluster on round 0 *)
-        if d.Data.invariant && round > 0 && bucket d <> [] then false
-        else
-          not (skipped d ~cluster_id:c.Cluster.id ~skip:Sharing.skips_load))
-      (profile_of c).IE.external_inputs
-  in
-  let store_objects (c : Cluster.t) ~round:_ =
-    List.filter
-      (fun d ->
-        not (skipped d ~cluster_id:c.Cluster.id ~skip:Sharing.skips_store))
-      (profile_of c).IE.outliving
-  in
-  { Sched.Step_builder.load_objects; store_objects }
+  {
+    Sched.Step_builder.first_loads;
+    loads =
+      Array.map
+        (List.filter (fun (d : Data.t) -> not once.(d.Data.id)))
+        first_loads;
+    stores =
+      Array.mapi (fun c p -> keep skip_store.(c) p.IE.outliving) profiles;
+  }
 
 let run_full ?(retention = true) ?(cross_set = false)
     (ctx : Sched.Sched_ctx.t) (config : Morphosys.Config.t) =
@@ -84,7 +82,7 @@ let run_full ?(retention = true) ?(cross_set = false)
           | Some p -> Retention.choose config p ~rf
           | None -> Retention.none
         in
-        (decision, selectors_ctx analysis decision)
+        (decision, selection analysis decision)
       in
       let schedule, decision =
         Sched.Step_builder.fastest ~cross_set config analysis ~rf_max

@@ -29,14 +29,8 @@ let words_cost (config : Config.t) ~context ~words =
     * (if context then config.context_cycles_per_word
        else config.data_cycles_per_word)
 
-let is_data = function Data _ -> true | Context _ -> false
 let is_context = function Context _ -> true | Data _ -> false
 let cost config t = words_cost config ~context:(is_context t.kind) ~words:t.words
 
 let total_cost config transfers =
   Msutil.Listx.sum_by (cost config) transfers
-
-let words_of_kind pred transfers =
-  Msutil.Listx.sum_by
-    (fun t -> if pred t.kind then t.words else 0)
-    transfers

@@ -2,19 +2,20 @@ module IE = Kernel_ir.Info_extractor
 
 (* No liveness analysis: every produced result, intermediates included, is
    written back. *)
-let selectors analysis =
-  let profile_of (c : Kernel_ir.Cluster.t) =
-    Kernel_ir.Analysis.profile analysis c.Kernel_ir.Cluster.id
-  in
+let selection (analysis : Kernel_ir.Analysis.t) =
+  let profiles = analysis.Kernel_ir.Analysis.profiles in
+  let loads = Array.map (fun p -> p.IE.external_inputs) profiles in
   {
-    Step_builder.load_objects =
-      (fun c ~round:_ -> (profile_of c).IE.external_inputs);
-    store_objects =
-      (fun c ~round:_ ->
-        List.concat_map
-          (fun kp ->
-            kp.IE.rout_objects @ List.map fst kp.IE.intermediate_objects)
-          (profile_of c).IE.kernel_profiles);
+    Step_builder.first_loads = loads;
+    loads;
+    stores =
+      Array.map
+        (fun p ->
+          List.concat_map
+            (fun kp ->
+              kp.IE.rout_objects @ List.map fst kp.IE.intermediate_objects)
+            p.IE.kernel_profiles)
+        profiles;
   }
 
 (* Index of the first footprint that does not fit the FB set, if any. *)
@@ -47,7 +48,7 @@ let run (ctx : Sched_ctx.t) (config : Morphosys.Config.t) =
       | None ->
         Ok
           (Step_builder.build config analysis ~rf:1 ~ctx_plan
-             ~selectors:(selectors analysis) ~scheduler:"basic")))
+             ~selection:(selection analysis) ~scheduler:"basic")))
 
 let scheduler : Scheduler_intf.t =
   (module struct

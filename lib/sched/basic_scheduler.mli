@@ -5,10 +5,12 @@
     written back (no liveness analysis), dead data is never replaced in
     place (so the whole cluster footprint — all inputs plus all results —
     must fit one FB set), and the reuse factor is fixed at 1, so contexts
-    not resident in the CM are reloaded on every iteration. *)
+    not resident in the CM are reloaded on every iteration. Its
+    {!selection} goes to {!Step_builder.build} at RF 1. *)
 
-val selectors : Kernel_ir.Analysis.t -> Step_builder.selectors
-(** Basic's traffic: load every cluster input, store every produced
+val selection : Kernel_ir.Analysis.t -> Step_builder.selection
+(** Basic's traffic, the same in every round (one array serves
+    [first_loads] and [loads]): every cluster input, and every produced
     result, intermediates included (no liveness analysis). *)
 
 val run : Sched_ctx.t -> Morphosys.Config.t -> (Schedule.t, Diag.t) result

@@ -4,14 +4,13 @@ let default_efficiency = 0.85
 
 (* Intermediates die on chip: only the results that outlive the cluster
    are stored. *)
-let selectors analysis =
-  let profile_of (c : Kernel_ir.Cluster.t) =
-    Kernel_ir.Analysis.profile analysis c.Kernel_ir.Cluster.id
-  in
+let selection (analysis : Kernel_ir.Analysis.t) =
+  let profiles = analysis.Kernel_ir.Analysis.profiles in
+  let loads = Array.map (fun p -> p.IE.external_inputs) profiles in
   {
-    Step_builder.load_objects =
-      (fun c ~round:_ -> (profile_of c).IE.external_inputs);
-    store_objects = (fun c ~round:_ -> (profile_of c).IE.outliving);
+    Step_builder.first_loads = loads;
+    loads;
+    stores = Array.map (fun p -> p.IE.outliving) profiles;
   }
 
 let run (ctx : Sched_ctx.t) (config : Morphosys.Config.t) =
@@ -40,11 +39,11 @@ let run (ctx : Sched_ctx.t) (config : Morphosys.Config.t) =
            (Msutil.Listx.max_by (fun x -> x) (Sched_ctx.footprints_list ctx))
            packable)
     | rf_max ->
-      let selectors = selectors analysis in
+      let selection = selection analysis in
       Ok
         (fst
            (Step_builder.fastest config analysis ~rf_max ~ctx_plan
-              ~scheduler:"ds" (fun _ -> ((), selectors))))))
+              ~scheduler:"ds" (fun _ -> ((), selection))))))
 
 let scheduler : Scheduler_intf.t =
   (module struct

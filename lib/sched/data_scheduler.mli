@@ -14,14 +14,15 @@
     fragmentation" and thereby "allows it to increase RF". We model this as
     an {e allocation efficiency}: the Data Scheduler can only pack
     [default_efficiency * fb_set_size] words, while the CDS allocator uses
-    the whole set. *)
+    the whole set. Its {!selection} goes to {!Step_builder.fastest}. *)
 
 val default_efficiency : float
 (** 0.85 — the fraction of the FB set the [5] allocator packs usefully. *)
 
-val selectors : Kernel_ir.Analysis.t -> Step_builder.selectors
-(** DS's traffic: load every cluster input, store only the results that
-    outlive the cluster (intermediates die on chip). *)
+val selection : Kernel_ir.Analysis.t -> Step_builder.selection
+(** DS's traffic, the same in every round (one array serves [first_loads]
+    and [loads]): every cluster input, and only the results that outlive
+    the cluster (intermediates die on chip). *)
 
 val run : Sched_ctx.t -> Morphosys.Config.t -> (Schedule.t, Diag.t) result
 (** The entry point ({!Scheduler_intf.S.run}): packs

@@ -1,26 +1,30 @@
 (** The one place where a selection of objects becomes a schedule: the
     pipelined step sequence all three schedulers (Basic, DS, CDS) emit, its
     cost, and the fastest-RF search. Each scheduler states only which
-    objects a cluster loads and stores ({!selectors}) and its feasible RF
-    range.
+    objects each cluster loads and stores ({!selection}) and its feasible
+    RF range.
 
-    Execution order is rounds x clusters. While execution step [s] computes,
-    the DMA channel (a) stores the outliving results of step [s-1], (b)
-    loads the data of step [s+1] and (c) loads the contexts of step [s+1].
-    A transfer may only overlap the computation if it does not touch the
-    computing cluster's FB set; offending transfers are emitted in a
-    standalone DMA step between the two computations (this happens at the
-    round wrap-around when the cluster count is odd). *)
+    Execution order is rounds x clusters. One step skeleton per RF states
+    the pipeline rule: a prime step loads what execution 0 needs; while
+    execution [s] computes, the DMA channel (a) stores the outliving
+    results of [s-1], (b) loads the data of [s+1] and (c) loads the
+    contexts of [s+1]; a final step drains the last results. A data group
+    on the computing cluster's FB set may not overlap it and is emitted in
+    a standalone DMA step (at the round wrap-around when the cluster count
+    is odd). {!build} expands the skeleton into transfers and {!estimate}
+    prices it. *)
 
-type selectors = {
-  load_objects : Kernel_ir.Cluster.t -> round:int -> Kernel_ir.Data.t list;
-      (** data to bring into the cluster's set before it runs *)
-  store_objects : Kernel_ir.Cluster.t -> round:int -> Kernel_ir.Data.t list;
-      (** results to drain from the cluster's set after it runs *)
+type selection = {
+  first_loads : Kernel_ir.Data.t list array;  (** loaded before round 0 *)
+  loads : Kernel_ir.Data.t list array;  (** before every later round *)
+  stores : Kernel_ir.Data.t list array;  (** drained after every round *)
 }
-(** A scheduler's transfer selection. Each selected object becomes one
-    transfer per iteration of the round, keyed by its (data id, iteration)
-    instance, or one in total (iteration 0) for an invariant object. *)
+(** A scheduler's transfer selection, indexed by cluster id (the order of
+    [Analysis.profiles]). [loads] differs from [first_loads] only for CDS's
+    retained invariant tables, which are loaded on round 0 alone. Each
+    selected object becomes one transfer per iteration of the round, keyed
+    by its (data id, iteration) instance, or one in total (iteration 0)
+    for an invariant object. *)
 
 val build :
   ?cross_set:bool ->
@@ -28,7 +32,7 @@ val build :
   Kernel_ir.Analysis.t ->
   rf:int ->
   ctx_plan:Context_scheduler.plan ->
-  selectors:selectors ->
+  selection:selection ->
   scheduler:string ->
   Schedule.t
 (** Per-iteration compute cycles and context words come from the
@@ -41,12 +45,12 @@ val estimate :
   Kernel_ir.Analysis.t ->
   rf:int ->
   ctx_plan:Context_scheduler.plan ->
-  selectors:selectors ->
+  selection:selection ->
   int
-(** Exactly [Schedule_cost.estimate config (build ...)], computed without
-    materialising any transfer list. The equivalence suite checks the
-    agreement on random applications.
-    @raise Invalid_argument if [rf < 1]. *)
+(** Exactly [Schedule_cost.estimate config (build ...)], priced from
+    per-cluster (invariant, per-iteration) cost totals without
+    materialising any transfer. The equivalence suite checks the agreement
+    on random applications. @raise Invalid_argument if [rf < 1]. *)
 
 val fastest :
   ?cross_set:bool ->
@@ -55,7 +59,7 @@ val fastest :
   rf_max:int ->
   ctx_plan:Context_scheduler.plan ->
   scheduler:string ->
-  (int -> 'tag * selectors) ->
+  (int -> 'tag * selection) ->
   Schedule.t * 'tag
 (** [fastest ... select] costs every [rf] in [1..rf_max] with {!estimate}
     on the selection [select rf] returns, and builds only the fastest;

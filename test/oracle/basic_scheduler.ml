@@ -27,5 +27,5 @@ let schedule_reference config app clustering =
         (Sched.Step_builder.build config
            (Kernel_ir.Analysis.make app clustering)
            ~rf:1 ~ctx_plan
-           ~selectors:(Selectors.store_everything app clustering)
+           ~selection:(Selectors.store_everything app clustering)
            ~scheduler:"basic"))

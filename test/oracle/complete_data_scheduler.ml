@@ -17,39 +17,38 @@ let skipped retained (d : Data.t) ~cluster_id ~skip =
     (fun c -> (Sharing.data c).Data.id = d.Data.id && skip c ~cluster_id)
     retained
 
-let selectors_of ~profile_of (decision : Cds.Retention.decision) =
-  let load_objects (c : Cluster.t) ~round =
-    let is_retained (d : Data.t) =
-      List.exists
-        (fun cand -> (Sharing.data cand).Data.id = d.Data.id)
-        decision.retained
-    in
+let selection app clustering (decision : Cds.Retention.decision) =
+  let profiles = Array.of_list (IE.profiles app clustering) in
+  let is_retained (d : Data.t) =
+    List.exists
+      (fun cand -> (Sharing.data cand).Data.id = d.Data.id)
+      decision.retained
+  in
+  let loads ~first (p : IE.cluster_profile) =
     List.filter
       (fun (d : Data.t) ->
         (* a retained invariant table is loaded exactly once, by its first
            consumer cluster on round 0 *)
-        if d.Data.invariant && is_retained d && round > 0 then false
+        if d.Data.invariant && is_retained d && not first then false
         else
           not
-            (skipped decision.retained d ~cluster_id:c.Cluster.id
+            (skipped decision.retained d ~cluster_id:p.IE.cluster.Cluster.id
                ~skip:Sharing.skips_load))
-      (profile_of c).IE.external_inputs
+      p.IE.external_inputs
   in
-  let store_objects (c : Cluster.t) ~round:_ =
+  let stores (p : IE.cluster_profile) =
     List.filter
       (fun d ->
         not
-          (skipped decision.retained d ~cluster_id:c.Cluster.id
+          (skipped decision.retained d ~cluster_id:p.IE.cluster.Cluster.id
              ~skip:Sharing.skips_store))
-      (profile_of c).IE.outliving
+      p.IE.outliving
   in
-  { Sched.Step_builder.load_objects; store_objects }
-
-let selectors app clustering decision =
-  let profiles = IE.profiles app clustering in
-  selectors_of
-    ~profile_of:(fun (c : Cluster.t) -> List.nth profiles c.Cluster.id)
-    decision
+  {
+    Sched.Step_builder.first_loads = Array.map (loads ~first:true) profiles;
+    loads = Array.map (loads ~first:false) profiles;
+    stores = Array.map stores profiles;
+  }
 
 let schedule_reference ?(retention = true) ?(cross_set = false)
     (config : Morphosys.Config.t) app clustering =
@@ -81,7 +80,7 @@ let schedule_reference ?(retention = true) ?(cross_set = false)
         in
         let schedule =
           Sched.Step_builder.build ~cross_set config analysis ~rf ~ctx_plan
-            ~selectors:(selectors app clustering decision)
+            ~selection:(selection app clustering decision)
             ~scheduler:scheduler_name
         in
         (schedule, decision)

@@ -62,8 +62,8 @@ let schedule_reference ?(alloc_efficiency = default_efficiency) config app
            (packable_words alloc_efficiency config))
     | rf_max ->
       let analysis = Kernel_ir.Analysis.make app clustering in
-      let selectors = Selectors.plain app clustering in
+      let selection = Selectors.plain app clustering in
       Ok
         (best_by_rf config ~rf_max ~build:(fun rf ->
-             Sched.Step_builder.build config analysis ~rf ~ctx_plan ~selectors
+             Sched.Step_builder.build config analysis ~rf ~ctx_plan ~selection
                ~scheduler:"ds")))

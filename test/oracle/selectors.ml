@@ -1,18 +1,16 @@
 (* Reference transfer selections: the object choice of
-   [Sched.Data_scheduler.selectors] / [Sched.Basic_scheduler.selectors],
+   [Sched.Data_scheduler.selection] / [Sched.Basic_scheduler.selection],
    with profiles taken from a fresh [Info_extractor.profiles] list walk. *)
 
 module IE = Info_extractor
 
 let make app clustering ~stored_objects =
-  let profiles = IE.profiles app clustering in
-  let profile_of (c : Kernel_ir.Cluster.t) =
-    List.nth profiles c.Kernel_ir.Cluster.id
-  in
+  let profiles = Array.of_list (IE.profiles app clustering) in
+  let loads = Array.map (fun p -> p.IE.external_inputs) profiles in
   {
-    Sched.Step_builder.load_objects =
-      (fun c ~round:_ -> (profile_of c).IE.external_inputs);
-    store_objects = (fun c ~round:_ -> stored_objects (profile_of c));
+    Sched.Step_builder.first_loads = loads;
+    loads;
+    stores = Array.map stored_objects profiles;
   }
 
 (* The Data Scheduler's traffic: load cluster inputs, store only the

@@ -303,7 +303,11 @@ let prop_context_plan (app, clustering) =
     capacities
 
 (* The estimate used by the RF searches must equal the cost of the
-   materialised schedule, for both traffic shapes and several factors. *)
+   materialised schedule: for both round-independent traffic shapes at
+   several factors, and for CDS's selection under the retention decision at
+   every feasible factor, in both set disciplines. At the smaller factors
+   an application runs several rounds, so a retained invariant table is
+   loaded on round 0 only. *)
 let prop_estimate (app, clustering) =
   let config = Morphosys.Config.m1 ~fb_set_size:4096 in
   let a = Analysis.make app clustering in
@@ -311,29 +315,47 @@ let prop_estimate (app, clustering) =
   | Error _ -> true
   | Ok ctx_plan ->
     let shapes =
-      [
-        ("plain", Sched.Data_scheduler.selectors a);
-        ("store_everything", Sched.Basic_scheduler.selectors a);
-      ]
+      List.concat_map
+        (fun rf ->
+          [
+            ("plain", rf, Sched.Data_scheduler.selection a);
+            ("store_everything", rf, Sched.Basic_scheduler.selection a);
+          ])
+        [ 1; 2; 3 ]
+    in
+    let ctx = Sched.Sched_ctx.make app clustering in
+    let rf_max =
+      Sched.Reuse_factor.common_split ~fb_set_size:4096
+        ~footprints:(Sched.Sched_ctx.splits_list ctx)
+        ~iterations:app.Application.iterations
+    in
+    let cds =
+      List.concat_map
+        (fun cross_set ->
+          let prepared = Cds.Retention.prepare ~cross_set ctx in
+          List.init rf_max (fun i ->
+              let rf = i + 1 in
+              ( (if cross_set then "cds-xset" else "cds"),
+                rf,
+                Oracle.Complete_data_scheduler.selection app clustering
+                  (Cds.Retention.choose config prepared ~rf) )))
+        [ false; true ]
     in
     List.for_all
-      (fun rf ->
-        List.for_all
-          (fun (name, selectors) ->
-            let estimated =
-              Sched.Step_builder.estimate config a ~rf ~ctx_plan ~selectors
-            in
-            let built =
-              Sched.Schedule_cost.estimate config
-                (Sched.Step_builder.build config a ~rf ~ctx_plan ~selectors
-                   ~scheduler:"test")
-            in
-            if estimated = built then true
-            else
-              QCheck.Test.fail_reportf "estimate %s rf=%d: %d <> built %d" name
-                rf estimated built)
-          shapes)
-      [ 1; 2; 3 ]
+      (fun (name, rf, selection) ->
+        let estimated =
+          Sched.Step_builder.estimate config a ~rf ~ctx_plan ~selection
+        in
+        let built =
+          Sched.Schedule_cost.estimate config
+            (Sched.Step_builder.build config a ~rf ~ctx_plan ~selection
+               ~scheduler:"test")
+        in
+        if estimated = built then true
+        else
+          QCheck.Test.fail_reportf "estimate %s rf=%d: %d <> built %d" name rf
+            estimated built)
+      (shapes @ cds)
 
 let tests =
   ( "analysis_ctx",

@@ -55,10 +55,6 @@ let test_dma_cost () =
   Alcotest.(check int) "total serial" 42 (Dma.total_cost c [ load; store; ctx ]);
   Alcotest.(check int) "words_cost agrees" (Dma.cost c ctx)
     (Dma.words_cost c ~context:true ~words:4);
-  Alcotest.(check int) "data words" 15
-    (Dma.words_of_kind Dma.is_data [ load; store; ctx ]);
-  Alcotest.(check int) "ctx words" 4
-    (Dma.words_of_kind Dma.is_context [ load; store; ctx ]);
   match Dma.data_load ~set:Frame_buffer.Set_a ~data:0 ~iter:0 ~words:0 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected words validation"

@@ -90,7 +90,7 @@ let test_rf_validation () =
       ~ctx_plan:
         (Result.get_ok
            (Sched.Context_scheduler.plan_of_analysis config analysis))
-      ~selectors:(Sched.Data_scheduler.selectors analysis)
+      ~selection:(Sched.Data_scheduler.selection analysis)
       ~scheduler:"x"
   with
   | exception Invalid_argument _ -> ()
@@ -101,10 +101,12 @@ let test_xfer_gen_plain_vs_store_everything () =
   let clustering = Fixtures.toy_clustering app in
   let c0 = Kernel_ir.Cluster.find clustering 0 in
   let analysis = Kernel_ir.Analysis.make app clustering in
-  let plain = Sched.Data_scheduler.selectors analysis in
-  let all = Sched.Basic_scheduler.selectors analysis in
+  let plain = Sched.Data_scheduler.selection analysis in
+  let all = Sched.Basic_scheduler.selection analysis in
   let size_sum = Msutil.Listx.sum_by (fun (d : Kernel_ir.Data.t) -> d.size) in
-  let words sel = size_sum (sel.Sched.Step_builder.store_objects c0 ~round:0) in
+  let words sel =
+    size_sum sel.Sched.Step_builder.stores.(c0.Kernel_ir.Cluster.id)
+  in
   (* cluster 0 outliving = r03 + f1 = 55; plus intermediate r01 (40) when
      storing everything *)
   Alcotest.(check int) "plain stores outliving" 55 (words plain);
@@ -114,13 +116,14 @@ let test_xfer_gen_plain_vs_store_everything () =
   let ctx_plan =
     Result.get_ok (Sched.Context_scheduler.plan_of_analysis config analysis)
   in
-  let primed_loads selectors =
+  let primed_loads selection =
     let s =
-      Sched.Step_builder.build config analysis ~rf:2 ~ctx_plan ~selectors
+      Sched.Step_builder.build config analysis ~rf:2 ~ctx_plan ~selection
         ~scheduler:"x"
     in
     List.filter
-      (fun (tr : Dma.t) -> Dma.is_data tr.Dma.kind)
+      (fun (tr : Dma.t) ->
+        match tr.Dma.kind with Dma.Data _ -> true | Dma.Context _ -> false)
       (List.hd s.Schedule.steps).Schedule.dma
   in
   let load_words sel =
