@@ -106,17 +106,17 @@ let auto_arg =
 
 let scheduler_arg =
   let doc =
-    "Scheduler to use, by registry name (see $(b,msched schedulers); \
-     e.g. $(b,basic), $(b,ds), $(b,cds), $(b,cds-xset))."
+    "Scheduler to use, by name (see $(b,msched schedulers): \
+     $(b,basic), $(b,ds), $(b,cds) or $(b,cds-xset))."
   in
   Arg.(value & opt string "cds" & info [ "scheduler"; "s" ] ~docv:"NAME" ~doc)
 
-(* Dispatch a scheduler by registry name on a fresh context; errors are the
-   schedulers' own diagnostic strings, plus the registry's "unknown
-   scheduler" one for a name nothing registered. *)
-let schedule_via_registry ~scheduler config app clustering =
+(* Dispatch a scheduler by name on a fresh context; errors are the
+   schedulers' own diagnostic strings, plus the "unknown scheduler" one for
+   a name [Cds.Schedulers] does not list. *)
+let schedule_by_name ~scheduler config app clustering =
   Result.map_error Diag.to_string
-    (Sched.Scheduler_registry.run scheduler
+    (Cds.Schedulers.run scheduler
        (Sched.Sched_ctx.make app clustering)
        config)
 
@@ -176,7 +176,7 @@ let run_cmd =
                     ~retention:(not no_retention)
                     (Sched.Sched_ctx.make app clustering)
                     config))
-          | name -> schedule_via_registry ~scheduler:name config app clustering
+          | name -> schedule_by_name ~scheduler:name config app clustering
         in
         match schedule with
         | Error e -> `Error (false, e)
@@ -212,7 +212,7 @@ let compare_cmd =
       & opt (some (list ~sep:',' string)) None
       & info [ "ladder" ] ~docv:"NAMES"
           ~doc:
-            "With $(b,--degrade): the ordered list of registry scheduler \
+            "With $(b,--degrade): the ordered list of scheduler \
              names to fall back through, best first (see \
              $(b,msched schedulers)).")
   in
@@ -783,7 +783,7 @@ let asm_cmd =
       match clustering_of source ~partition ~auto:false ~config with
       | Error e -> `Error (false, e)
       | Ok clustering -> (
-        match schedule_via_registry ~scheduler config app clustering with
+        match schedule_by_name ~scheduler config app clustering with
         | Error e -> `Error (false, e)
         | Ok s -> (
           let program =
@@ -818,7 +818,7 @@ let vcd_cmd =
       match clustering_of source ~partition ~auto:false ~config with
       | Error e -> `Error (false, e)
       | Ok clustering -> (
-        match schedule_via_registry ~scheduler config app clustering with
+        match schedule_by_name ~scheduler config app clustering with
         | Error e -> `Error (false, e)
         | Ok s ->
           print_string (Msim.Vcd.of_schedule config s);
@@ -835,15 +835,13 @@ let vcd_cmd =
 let schedulers_cmd =
   let run () =
     List.iter
-      (fun s ->
-        Printf.printf "%-10s %s\n"
-          (Sched.Scheduler_intf.name s)
-          (Sched.Scheduler_intf.describe s))
-      (Sched.Scheduler_registry.all ())
+      (fun (s : Cds.Schedulers.t) ->
+        Printf.printf "%-10s %s\n" s.name s.describe)
+      Cds.Schedulers.all
   in
   Cmd.v
     (Cmd.info "schedulers"
-       ~doc:"List the registered schedulers (usable with --scheduler)")
+       ~doc:"List the schedulers (usable with --scheduler)")
     Term.(const run $ const ())
 
 let kernels_cmd =

@@ -13,24 +13,26 @@ type result = {
    loads and a producer the stores that retention makes unnecessary. An
    object can have one candidate per FB set, since the same shared datum
    may be retained in both sets. A retained invariant table is loaded
-   exactly once, by its first consumer cluster on round 0. *)
+   once, by the candidate's first cluster on round 0; the other
+   beneficiaries skip it, and a reader no candidate covers (say, in the
+   other FB set) reloads it every round. *)
 let selection (analysis : Kernel_ir.Analysis.t)
     (decision : Retention.decision) =
   let profiles = analysis.Kernel_ir.Analysis.profiles in
   let skip_load = Array.make (Array.length profiles) []
   and skip_store = Array.make (Array.length profiles) []
-  and once =
-    Array.make (Array.length analysis.Kernel_ir.Analysis.data_index) false
-  in
+  and resident = Array.make (Array.length profiles) [] in
   List.iter
     (fun (cand : Sharing.t) ->
       let d = Sharing.data cand in
       let mark skip skips c =
         if skip cand ~cluster_id:c then skips.(c) <- d.Data.id :: skips.(c)
       in
-      if d.Data.invariant then once.(d.Data.id) <- true;
+      let first = cand.Sharing.first_cluster in
+      if d.Data.invariant then
+        resident.(first) <- d.Data.id :: resident.(first);
       List.iter (mark Sharing.skips_load skip_load) cand.Sharing.beneficiaries;
-      mark Sharing.skips_store skip_store cand.Sharing.first_cluster)
+      mark Sharing.skips_store skip_store first)
     decision.retained;
   let keep skips =
     List.filter (fun (d : Data.t) -> not (List.mem d.Data.id skips))
@@ -40,22 +42,13 @@ let selection (analysis : Kernel_ir.Analysis.t)
   in
   {
     Sched.Step_builder.first_loads;
-    loads =
-      Array.map
-        (List.filter (fun (d : Data.t) -> not once.(d.Data.id)))
-        first_loads;
+    loads = Array.mapi (fun c loads -> keep resident.(c) loads) first_loads;
     stores =
       Array.mapi (fun c p -> keep skip_store.(c) p.IE.outliving) profiles;
   }
 
 let run_full ?(retention = true) ?(cross_set = false)
     (ctx : Sched.Sched_ctx.t) (config : Morphosys.Config.t) =
-  match Engine.Faults.hit "sched" with
-  | exception Engine.Faults.Injected site ->
-    Error
-      (Diag.v ~scheduler:"cds" Diag.Fault_injected
-         "injected fault at scheduler entry (%s)" site)
-  | () -> (
   let analysis = Sched.Sched_ctx.analysis ctx in
   match Sched.Context_scheduler.plan_of_analysis config analysis with
   | Error d -> Error (Diag.with_scheduler "cds" d)
@@ -97,7 +90,7 @@ let run_full ?(retention = true) ?(cross_set = false)
           rf = schedule.Sched.Schedule.rf;
           data_words_avoided_per_iteration =
             decision.Retention.avoided_words_per_iteration;
-        }))
+        })
 
 let run ctx config = Result.map (fun r -> r.schedule) (run_full ctx config)
 
@@ -111,29 +104,3 @@ let retention_warnings (decision : Retention.decision) =
         Diag.Retention_rejected "candidate %S not retained: %s" d.Data.name
         reason)
     decision.Retention.rejected
-
-let scheduler : Sched.Scheduler_intf.t =
-  (module struct
-    let name = "cds"
-
-    let describe =
-      "Complete Data Scheduler (DATE'02): fragmentation-free allocation + \
-       TF-driven retention of shared data"
-
-    let run = run
-  end)
-
-let scheduler_xset : Sched.Scheduler_intf.t =
-  (module struct
-    let name = "cds-xset"
-
-    let describe =
-      "Complete Data Scheduler with the future-work cross-set reuse enabled"
-
-    let run ctx config =
-      Result.map (fun r -> r.schedule) (run_full ~cross_set:true ctx config)
-  end)
-
-let () =
-  Sched.Scheduler_registry.register scheduler;
-  Sched.Scheduler_registry.register scheduler_xset

@@ -44,16 +44,9 @@ val run :
   Sched.Sched_ctx.t ->
   Morphosys.Config.t ->
   (Sched.Schedule.t, Diag.t) Stdlib.result
-(** The registry entry point ({!Sched.Scheduler_intf.S.run}):
-    {!run_full} projected onto its schedule. *)
-
-val scheduler : Sched.Scheduler_intf.t
-(** The Complete Data Scheduler as a first-class value, registered in
-    {!Sched.Scheduler_registry} under ["cds"]. *)
-
-val scheduler_xset : Sched.Scheduler_intf.t
-(** {!run_full} with [~cross_set:true], registered under ["cds-xset"] —
-    the future-work cross-set reuse as a separately selectable policy. *)
+(** {!run_full} projected onto its schedule: the ["cds"] entry of
+    {!Schedulers}, whose ["cds-xset"] entry runs {!run_full} with
+    [~cross_set:true]. *)
 
 val retention_warnings : Retention.decision -> Diag.t list
 (** One [Warning]-severity [Retention_rejected] diagnostic per candidate

@@ -24,7 +24,7 @@ let simulate ~validate config schedule =
 
 let run ?(validate = true) ?(retention = true) ?(cross_set = false)
     ?(degrade = false) ?(ladder = default_ladder) config app clustering =
-  (* one analysis context serves every scheduler in the registry *)
+  (* one analysis context serves every scheduler *)
   let ctx = Sched.Sched_ctx.make app clustering in
   (* In graceful mode nothing raises: a validation failure (or any other
      exception a tier's simulation throws) becomes that tier's diagnostic,
@@ -38,7 +38,7 @@ let run ?(validate = true) ?(retention = true) ?(cross_set = false)
   in
   let tier name =
     Result.bind
-      (Sched.Scheduler_registry.run name ctx config)
+      (Schedulers.run name ctx config)
       (sim ~scheduler:name)
   in
   let basic = tier "basic" in
@@ -52,7 +52,7 @@ let run ?(validate = true) ?(retention = true) ?(cross_set = false)
           (sim ~scheduler:"cds" r.Complete_data_scheduler.schedule))
   in
   (* The three standard tiers above are reused when the ladder names
-     them; any other name dispatches through the registry, so a custom
+     them; any other name dispatches through [Schedulers], so a custom
      ladder (say ["cds-xset"; "ds"]) degrades — and reports — exactly
      the tiers the caller asked for. *)
   let attempt = function
@@ -122,7 +122,7 @@ let dt_words t =
 let auto_clustering ?(scheduler = "cds") config app =
   let eval clustering =
     match
-      Sched.Scheduler_registry.run scheduler
+      Schedulers.run scheduler
         (Sched.Sched_ctx.make app clustering)
         config
     with

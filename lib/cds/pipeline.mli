@@ -1,9 +1,9 @@
 (** End-to-end compilation pipeline: kernel scheduling (clustering search),
     the three data schedulers (Basic / DS / CDS), simulation, validation and
     allocator statistics — everything Table 1 and Figure 6 need for one
-    experiment. Scheduler dispatch goes through {!Sched.Scheduler_registry},
-    so the degradation ladder and the clustering search accept any
-    registered scheduler by name. *)
+    experiment. Scheduler dispatch goes through {!Schedulers.run}, so the
+    degradation ladder and the clustering search accept any listed
+    scheduler by name. *)
 
 type scheduled = { schedule : Sched.Schedule.t; metrics : Msim.Metrics.t }
 
@@ -17,7 +17,7 @@ type degradation = {
   chain : (string * Diag.t) list;
       (** the failures encountered walking the ladder, in order, up to
           (excluding) the delivered entry — names come from the ladder
-          (i.e. the registry), not from a hard-coded tier list *)
+          (i.e. {!Schedulers}), not from a hard-coded tier list *)
   fallback : scheduled option;
       (** the delivered schedule itself; carried here because a custom
           ladder may deliver a scheduler that has no column in
@@ -53,16 +53,18 @@ val run :
     failure — infeasibility, validation divergence, any exception — is
     captured as a structured diagnostic, and [degradation] records the
     fallback chain down [ladder] (default {!default_ladder}) together
-    with the tier that finally delivered ({!degraded_schedule}). Ladder
-    entries beyond the standard three are resolved through
-    {!Sched.Scheduler_registry}; unknown names fail that rung with an
-    [Invalid_config] diagnostic and the walk continues.
+    with the tier that finally delivered ({!degraded_schedule}). The
+    ["basic"] and ["ds"] tiers and any ladder entry beyond the standard
+    three run through {!Schedulers.run}; unknown names fail that rung with
+    an [Invalid_config] diagnostic and the walk continues. The CDS tier
+    calls {!Complete_data_scheduler.run_full} directly, for its retention
+    decision, so it does not visit the ["sched"] fault site.
     @raise Failure if validation finds a violation (a scheduler bug) and
     [degrade] is false. *)
 
 val degraded_schedule : comparison -> (string * scheduled) option
 (** The schedule the degradation ladder delivered — the best feasible tier
-    with its registry name — or [None] when every tier failed (or [run]
+    with its scheduler name — or [None] when every tier failed (or [run]
     ran without [~degrade]). *)
 
 val pp_degradation : Format.formatter -> degradation -> unit
@@ -85,8 +87,8 @@ val auto_clustering :
   Kernel_ir.Application.t ->
   (Kernel_ir.Cluster.clustering * int) option
 (** Kernel-scheduler search: the clustering minimising the named
-    scheduler's simulated cycles (default ["cds"]; any
-    {!Sched.Scheduler_registry} name is accepted); [None] when no
+    scheduler's simulated cycles (default ["cds"]; any {!Schedulers}
+    name is accepted); [None] when no
     partition is feasible — or the name is unknown. *)
 
 val allocation_report :

@@ -12,8 +12,9 @@
     - ["pool"] — entry of every {!Pool} task;
     - ["cache"] — {!Cache.find} lookups (the DSE sweep degrades an
       injected lookup fault to a miss and recomputes);
-    - ["sched"] — entry of the Basic/DS/CDS scheduler [_diag] paths,
-      which convert the fault into a [Fault_injected] diagnostic. *)
+    - ["sched"] — [Cds.Schedulers.run], once the scheduler name is
+      known, which converts the fault into a [Fault_injected] diagnostic
+      tagged with that name. *)
 
 exception Injected of string
 (** [Injected "site#n"] — the injected failure. Transient by

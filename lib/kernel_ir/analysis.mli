@@ -23,11 +23,6 @@ type t = private {
   data_index : Data.t option array;  (** data id -> object *)
   profiles : Info_extractor.cluster_profile array;
       (** indexed by cluster id *)
-  consumed_by_cluster : Data.t list array;
-      (** per cluster: every object some kernel of the cluster consumes,
-          in application declaration order *)
-  produced_by_cluster : Data.t list array;
-      (** per cluster: every object produced inside it, declaration order *)
   sharing : Info_extractor.shared list;
       (** every object used by several clusters, in declaration order,
           regardless of FB-set compatibility *)
@@ -56,9 +51,6 @@ val cluster_id_of_kernel : t -> Kernel.id -> int
 
 val data : t -> int -> Data.t
 (** By data id. @raise Invalid_argument on an unknown id. *)
-
-val consumed_in_cluster : t -> int -> Data.t list
-val produced_in_cluster : t -> int -> Data.t list
 
 val sharing : t -> Info_extractor.shared list
 val tds : t -> int

@@ -42,7 +42,7 @@ let point_of_schedule config ~fb ~cm ~setup ~scheduler = function
       diag = None;
     }
 
-(* The default sweep axis: the paper's three tiers. Other registered
+(* The default sweep axis: the paper's three tiers. The other listed
    schedulers (e.g. "cds-xset") can be swept by passing an explicit
    [~scheduler] to {!evaluate}. *)
 let schedulers = [ "basic"; "ds"; "cds" ]
@@ -60,7 +60,7 @@ let evaluate_full ?ctx ~fb ~cm ~setup ~scheduler app clustering =
     | Some c -> c
     | None -> Sched.Sched_ctx.make app clustering
   in
-  let r = Sched.Scheduler_registry.run scheduler ctx config in
+  let r = Cds.Schedulers.run scheduler ctx config in
   (point_of_schedule config ~fb ~cm ~setup ~scheduler r, Result.to_option r)
 
 let evaluate ?ctx ~fb ~cm ~setup ~scheduler app clustering =

@@ -21,9 +21,9 @@ type point = {
 }
 
 val schedulers : string list
-(** [["basic"; "ds"; "cds"]] — the registry names the sweep crosses
-    with the machine axes. Other registered schedulers can be evaluated
-    point-wise with {!evaluate}. *)
+(** [["basic"; "ds"; "cds"]] — the {!Cds.Schedulers} names the sweep
+    crosses with the machine axes. The other listed schedulers can be
+    evaluated point-wise with {!evaluate}. *)
 
 val evaluate :
   ?ctx:Sched.Sched_ctx.t ->
@@ -35,9 +35,10 @@ val evaluate :
   Kernel_ir.Cluster.clustering ->
   point
 (** One design point: build the machine config, dispatch [scheduler]
-    through {!Sched.Scheduler_registry} and simulate the result. An
-    unknown scheduler name yields an infeasible point carrying the
-    registry's [Invalid_config] diagnostic. [?ctx] reuses a precomputed
+    through {!Cds.Schedulers.run} and simulate the result. An unknown
+    scheduler name yields an infeasible point carrying its
+    [Invalid_config] diagnostic, an injected ["sched"] fault one carrying
+    the [Fault_injected] diagnostic. [?ctx] reuses a precomputed
     scheduling context (it must belong to the given application and
     clustering). *)
 

@@ -26,7 +26,7 @@ type verdict =
   | Violated of string
 
 let schedule_of ~scheduler config app clustering =
-  Sched.Scheduler_registry.run scheduler
+  Cds.Schedulers.run scheduler
     (Sched.Sched_ctx.make app clustering)
     config
 

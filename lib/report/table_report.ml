@@ -77,7 +77,7 @@ let infeasibility () =
   let config = Morphosys.Config.m1 ~fb_set_size:1024 in
   let ctx = Sched.Sched_ctx.make app clustering in
   let describe name =
-    match Sched.Scheduler_registry.run name ctx config with
+    match Cds.Schedulers.run name ctx config with
     | Ok (_ : Sched.Schedule.t) -> Format.fprintf fmt "%-6s: runs@\n" name
     | Error d ->
       Format.fprintf fmt "%-6s: infeasible (%s)@\n" name (Diag.to_string d)

@@ -29,35 +29,17 @@ let overflow_cluster config fps =
   go 0 fps
 
 let run (ctx : Sched_ctx.t) (config : Morphosys.Config.t) =
-  match Engine.Faults.hit "sched" with
-  | exception Engine.Faults.Injected site ->
-    Error
-      (Diag.v ~scheduler:"basic" Diag.Fault_injected
-         "injected fault at scheduler entry (%s)" site)
-  | () -> (
-    let analysis = Sched_ctx.analysis ctx in
-    match Context_scheduler.plan_of_analysis config analysis with
-    | Error d -> Error (Diag.with_scheduler "basic" d)
-    | Ok ctx_plan -> (
-      match overflow_cluster config (Sched_ctx.basic_footprints_list ctx) with
-      | Some (cid, fp) ->
-        Error
-          (Diag.v ~scheduler:"basic" ~cluster:cid Diag.Fb_overflow
-             "cluster footprint %dw exceeds FB set of %dw (no replacement)"
-             fp config.Morphosys.Config.fb_set_size)
-      | None ->
-        Ok
-          (Step_builder.build config analysis ~rf:1 ~ctx_plan
-             ~selection:(selection analysis) ~scheduler:"basic")))
-
-let scheduler : Scheduler_intf.t =
-  (module struct
-    let name = "basic"
-
-    let describe =
-      "Basic Scheduler (DATE'99 baseline): no data reuse, RF fixed at 1"
-
-    let run = run
-  end)
-
-let () = Scheduler_registry.register scheduler
+  let analysis = Sched_ctx.analysis ctx in
+  match Context_scheduler.plan_of_analysis config analysis with
+  | Error d -> Error (Diag.with_scheduler "basic" d)
+  | Ok ctx_plan -> (
+    match overflow_cluster config (Sched_ctx.basic_footprints_list ctx) with
+    | Some (cid, fp) ->
+      Error
+        (Diag.v ~scheduler:"basic" ~cluster:cid Diag.Fb_overflow
+           "cluster footprint %dw exceeds FB set of %dw (no replacement)" fp
+           config.Morphosys.Config.fb_set_size)
+    | None ->
+      Ok
+        (Step_builder.build config analysis ~rf:1 ~ctx_plan
+           ~selection:(selection analysis) ~scheduler:"basic"))

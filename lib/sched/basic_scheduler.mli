@@ -14,12 +14,9 @@ val selection : Kernel_ir.Analysis.t -> Step_builder.selection
     result, intermediates included (no liveness analysis). *)
 
 val run : Sched_ctx.t -> Morphosys.Config.t -> (Schedule.t, Diag.t) result
-(** The entry point ({!Scheduler_intf.S.run}). [Error] is an
+(** The entry point, listed as ["basic"] in [Cds.Schedulers]. [Error] is an
     [Fb_overflow] or [Cm_overflow] diagnostic naming the offending
     cluster when its no-replacement footprint exceeds the FB set size or
     its contexts exceed the CM — the paper notes Basic cannot run MPEG
     with a 1K frame buffer. *)
 
-val scheduler : Scheduler_intf.t
-(** The Basic scheduler as a first-class value, registered in
-    {!Scheduler_registry} under ["basic"]. *)

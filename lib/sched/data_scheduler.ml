@@ -14,12 +14,6 @@ let selection (analysis : Kernel_ir.Analysis.t) =
   }
 
 let run (ctx : Sched_ctx.t) (config : Morphosys.Config.t) =
-  match Engine.Faults.hit "sched" with
-  | exception Engine.Faults.Injected site ->
-    Error
-      (Diag.v ~scheduler:"ds" Diag.Fault_injected
-         "injected fault at scheduler entry (%s)" site)
-  | () -> (
   let analysis = Sched_ctx.analysis ctx in
   match Context_scheduler.plan_of_analysis config analysis with
   | Error d -> Error (Diag.with_scheduler "ds" d)
@@ -43,17 +37,4 @@ let run (ctx : Sched_ctx.t) (config : Morphosys.Config.t) =
       Ok
         (fst
            (Step_builder.fastest config analysis ~rf_max ~ctx_plan
-              ~scheduler:"ds" (fun _ -> ((), selection))))))
-
-let scheduler : Scheduler_intf.t =
-  (module struct
-    let name = "ds"
-
-    let describe =
-      "Data Scheduler (ISSS'01): in-place replacement, loop fission, no \
-       inter-cluster reuse"
-
-    let run = run
-  end)
-
-let () = Scheduler_registry.register scheduler
+              ~scheduler:"ds" (fun _ -> ((), selection)))))

@@ -25,13 +25,10 @@ val selection : Kernel_ir.Analysis.t -> Step_builder.selection
     the cluster (intermediates die on chip). *)
 
 val run : Sched_ctx.t -> Morphosys.Config.t -> (Schedule.t, Diag.t) result
-(** The entry point ({!Scheduler_intf.S.run}): packs
+(** The entry point, listed as ["ds"] in [Cds.Schedulers]: packs
     [default_efficiency * fb_set_size] words and keeps the fastest
     feasible reuse factor ({!Step_builder.fastest}). [Error] is a
     [No_feasible_rf] or [Cm_overflow] diagnostic when even RF = 1 does not
     fit (some [DS(C)] exceeds the packable fraction of the FB set) or the
     context memory cannot hold some cluster. *)
 
-val scheduler : Scheduler_intf.t
-(** The Data Scheduler as a first-class value, registered in
-    {!Scheduler_registry} under ["ds"]. *)

@@ -22,7 +22,6 @@ let make app clustering = of_analysis (Analysis.make app clustering)
 let analysis t = t.analysis
 let app t = t.analysis.Analysis.app
 let clustering t = t.analysis.Analysis.clustering
-let profile t id = Analysis.profile t.analysis id
 let splits_list t = Array.to_list t.splits
 let footprints_list t = Array.to_list t.footprints
 let basic_footprints_list t = Array.to_list t.basic_footprints

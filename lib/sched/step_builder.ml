@@ -20,32 +20,46 @@ type execution = {
   context_words : int;  (* CM words its context load moves *)
 }
 
+(* The per-cluster inputs of every execution, which no RF changes: the
+   context broadcasts of one round, one per kernel (loop fission lets each
+   kernel keep its configuration for all the round's iterations), and the
+   CM words the cluster's context load moves on round 0 and on the later
+   rounds, which all move the same words. The broadcast term stays a
+   per-kernel sum because [Rc_array.reconfigure_cycles] rounds up per
+   kernel. *)
+type clusters = {
+  reconfig : int array;
+  first_words : int array;
+  later_words : int array;
+}
+
+let clusters config (analysis : Analysis.t) ~ctx_plan =
+  let app = analysis.Analysis.app in
+  {
+    reconfig =
+      Array.map
+        (fun (p : IE.cluster_profile) ->
+          Msutil.Listx.sum_by
+            (fun kid ->
+              Morphosys.Rc_array.reconfigure_cycles config
+                ~contexts:
+                  (Application.kernel app kid).Kernel_ir.Kernel.contexts)
+            p.IE.cluster.Cluster.kernels)
+        analysis.Analysis.profiles;
+    first_words =
+      Context_scheduler.load_words_by_cluster ctx_plan analysis ~round:0;
+    later_words =
+      Context_scheduler.load_words_by_cluster ctx_plan analysis ~round:1;
+  }
+
 (* Rounds x clusters, in execution order: their count, and execution [s]
    made on demand, so that a cost pass keeps no array of them alive. An
-   execution runs the cluster for its [iterations] plus one context
-   broadcast per kernel (loop fission lets each kernel keep its
-   configuration for all the round's iterations). The broadcast term stays
-   a per-kernel sum because [Rc_array.reconfigure_cycles] rounds up per
-   kernel. Context words come from the plan's per-cluster arrays for round
-   0 and for the later rounds, which all move the same words. *)
-let executions config (analysis : Analysis.t) ~rf ~ctx_plan =
-  let app = analysis.Analysis.app and profiles = analysis.Analysis.profiles in
-  let reconfig =
-    Array.map
-      (fun (p : IE.cluster_profile) ->
-        Msutil.Listx.sum_by
-          (fun kid ->
-            Morphosys.Rc_array.reconfigure_cycles config
-              ~contexts:(Application.kernel app kid).Kernel_ir.Kernel.contexts)
-          p.IE.cluster.Cluster.kernels)
-      profiles
-  in
-  let first_words =
-    Context_scheduler.load_words_by_cluster ctx_plan analysis ~round:0
-  and later_words =
-    Context_scheduler.load_words_by_cluster ctx_plan analysis ~round:1
-  in
-  let n = app.Application.iterations and n_clusters = Array.length profiles in
+   execution runs the cluster for its [iterations] plus the round's
+   context broadcasts. *)
+let executions (analysis : Analysis.t) clusters ~rf =
+  let profiles = analysis.Analysis.profiles in
+  let n = analysis.Analysis.app.Application.iterations
+  and n_clusters = Array.length profiles in
   ( (n + rf - 1) / rf * n_clusters,
     fun s ->
       let round = s / n_clusters and c = s mod n_clusters in
@@ -57,10 +71,11 @@ let executions config (analysis : Analysis.t) ~rf ~ctx_plan =
             round;
             iterations = iters;
             compute_cycles =
-              (iters * profiles.(c).IE.compute_cycles) + reconfig.(c);
+              (iters * profiles.(c).IE.compute_cycles) + clusters.reconfig.(c);
           };
         context_words =
-          (if round = 0 then first_words.(c) else later_words.(c));
+          (if round = 0 then clusters.first_words.(c)
+           else clusters.later_words.(c));
       } )
 
 (* A group is one execution's transfers of one kind. *)
@@ -90,9 +105,9 @@ let objects selection e traffic =
    count); contexts go to the CM and always overlap. A final drain stores
    the last execution's results. Groups that move nothing are left out;
    the prime step stays even when it is empty. *)
-let fold_steps config analysis ~rf ~ctx_plan selection ~init f =
+let fold_steps analysis clusters ~rf selection ~init f =
   if rf < 1 then invalid_arg "Step_builder: rf must be >= 1";
-  let n, exec = executions config analysis ~rf ~ctx_plan in
+  let n, exec = executions analysis clusters ~rf in
   let group s traffic =
     if s < 0 || s >= n then []
     else
@@ -143,10 +158,10 @@ let transfers ~rf selection (e, traffic) =
   | Context ->
     [ Dma.context_load ~cluster:c.Cluster.id ~words:e.context_words ]
 
-let build ?(cross_set = false) config (analysis : Analysis.t) ~rf ~ctx_plan
+let build_with ?(cross_set = false) (analysis : Analysis.t) clusters ~rf
     ~selection ~scheduler =
   let steps =
-    fold_steps config analysis ~rf ~ctx_plan selection ~init:[]
+    fold_steps analysis clusters ~rf selection ~init:[]
       (fun acc { compute; groups; note } ->
         let dma = List.concat_map (transfers ~rf selection) groups in
         { Schedule.compute; dma; note } :: acc)
@@ -160,10 +175,16 @@ let build ?(cross_set = false) config (analysis : Analysis.t) ~rf ~ctx_plan
     steps = List.rev steps;
   }
 
+let build ?cross_set config analysis ~rf ~ctx_plan ~selection ~scheduler =
+  build_with ?cross_set analysis
+    (clusters config analysis ~ctx_plan)
+    ~rf ~selection ~scheduler
+
 (* [Schedule_cost.estimate] of [build]'s schedule. Per cluster, an object
    list costs its invariant objects once per round and every other object
    once per iteration, each at [Dma.words_cost]. *)
-let estimate (config : Morphosys.Config.t) analysis ~rf ~ctx_plan ~selection =
+let estimate_with (config : Morphosys.Config.t) analysis clusters ~rf
+    ~selection =
   let totals =
     Array.map
       (List.fold_left
@@ -187,20 +208,25 @@ let estimate (config : Morphosys.Config.t) analysis ~rf ~ctx_plan ~selection =
     | Load -> per_round later.(id)
     | Store -> per_round stores.(id)
   in
-  fold_steps config analysis ~rf ~ctx_plan selection ~init:0
+  fold_steps analysis clusters ~rf selection ~init:0
     (fun total { compute; groups; _ } ->
       total
       + max
           (Msutil.Listx.sum_by group groups)
           (match compute with Some c -> c.Schedule.compute_cycles | None -> 0))
 
+let estimate config analysis ~rf ~ctx_plan ~selection =
+  estimate_with config analysis (clusters config analysis ~ctx_plan) ~rf
+    ~selection
+
 let fastest ?cross_set config analysis ~rf_max ~ctx_plan ~scheduler select =
   if rf_max < 1 then invalid_arg "Step_builder.fastest: rf_max must be >= 1";
+  let clusters = clusters config analysis ~ctx_plan in
   let rf, (tag, selection), cycles =
     List.fold_left
       (fun acc rf ->
         let ((_, selection) as choice) = select rf in
-        let cycles = estimate config analysis ~rf ~ctx_plan ~selection in
+        let cycles = estimate_with config analysis clusters ~rf ~selection in
         match acc with
         | Some (_, _, best_cycles) when best_cycles < cycles -> acc
         | _ -> Some (rf, choice, cycles))
@@ -210,4 +236,4 @@ let fastest ?cross_set config analysis ~rf_max ~ctx_plan ~scheduler select =
   in
   Log.debug (fun m ->
       m "chose rf=%d (%d cycles) out of rf_max=%d" rf cycles rf_max);
-  (build ?cross_set config analysis ~rf ~ctx_plan ~selection ~scheduler, tag)
+  (build_with ?cross_set analysis clusters ~rf ~selection ~scheduler, tag)

@@ -62,7 +62,9 @@ val fastest :
   (int -> 'tag * selection) ->
   Schedule.t * 'tag
 (** [fastest ... select] costs every [rf] in [1..rf_max] with {!estimate}
-    on the selection [select rf] returns, and builds only the fastest;
+    on the selection [select rf] returns, and builds only the fastest,
+    computing the per-cluster reconfiguration cycles and context words
+    once for all of them;
     ties go to the larger RF, which frees more CM bandwidth. The largest
     memory-allowed RF is not always fastest: batching RF iterations of
     transfers can exceed what an imbalanced pipeline can hide. Returns the

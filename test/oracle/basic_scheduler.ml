@@ -1,5 +1,5 @@
-(* Reference Basic Scheduler, list-based throughout. The registry's
-   ["basic"] must return the same schedule, or an error whose
+(* Reference Basic Scheduler, list-based throughout. The ["basic"] entry
+   of [Cds.Schedulers] must return the same schedule, or an error whose
    [Diag.to_string] is the same string. *)
 
 module IE = Info_extractor

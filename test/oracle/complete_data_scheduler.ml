@@ -1,9 +1,9 @@
 (* Reference Complete Data Scheduler, list-based throughout, which builds
    a schedule per candidate reuse factor (recomputing retention with
-   [Retention.choose] for each) and keeps the fastest. The registry's
-   ["cds"] / ["cds-xset"] must return the same result, or an error whose
-   [Diag.to_string] is the same string. The scaling bench times the
-   indexed path against this one. *)
+   [Retention.choose] for each) and keeps the fastest. The ["cds"] /
+   ["cds-xset"] entries of [Cds.Schedulers] must return the same result,
+   or an error whose [Diag.to_string] is the same string. The scaling
+   bench times the indexed path against this one. *)
 
 module IE = Info_extractor
 module Cluster = Kernel_ir.Cluster
@@ -19,21 +19,25 @@ let skipped retained (d : Data.t) ~cluster_id ~skip =
 
 let selection app clustering (decision : Cds.Retention.decision) =
   let profiles = Array.of_list (IE.profiles app clustering) in
-  let is_retained (d : Data.t) =
+  let resident_in (d : Data.t) ~cluster_id =
     List.exists
-      (fun cand -> (Sharing.data cand).Data.id = d.Data.id)
+      (fun cand ->
+        (Sharing.data cand).Data.id = d.Data.id
+        && cand.Sharing.first_cluster = cluster_id)
       decision.retained
   in
   let loads ~first (p : IE.cluster_profile) =
+    let cluster_id = p.IE.cluster.Cluster.id in
     List.filter
       (fun (d : Data.t) ->
-        (* a retained invariant table is loaded exactly once, by its first
-           consumer cluster on round 0 *)
-        if d.Data.invariant && is_retained d && not first then false
+        (* a retained invariant table is loaded once, by the candidate's
+           first cluster on round 0; readers no candidate covers reload it
+           every round *)
+        if d.Data.invariant && (not first) && resident_in d ~cluster_id then
+          false
         else
           not
-            (skipped decision.retained d ~cluster_id:p.IE.cluster.Cluster.id
-               ~skip:Sharing.skips_load))
+            (skipped decision.retained d ~cluster_id ~skip:Sharing.skips_load))
       p.IE.external_inputs
   in
   let stores (p : IE.cluster_profile) =

@@ -1,7 +1,8 @@
 (* Reference Data Scheduler, list-based throughout, which builds a
    schedule for every candidate reuse factor and keeps the fastest by
-   [Sched.Schedule_cost.estimate]. The registry's ["ds"] must return the
-   same schedule, or an error whose [Diag.to_string] is the same string. *)
+   [Sched.Schedule_cost.estimate]. The ["ds"] entry of [Cds.Schedulers]
+   must return the same schedule, or an error whose [Diag.to_string] is
+   the same string. *)
 
 module IE = Info_extractor
 

@@ -302,3 +302,74 @@ let tests =
     Alcotest.test_case "invariant table after a window pin" `Quick
       test_invariant_after_window;
   ])
+
+(* The same app at FB 512: the set-A copy of the invariant table [t] is
+   turned down, the set-B copy kept. Only cluster 1 (set B) holds [t]
+   resident, so cluster 0, its reader in set A, must still load [t] before
+   each of its rounds. *)
+let test_invariant_reloaded_outside_retention () =
+  let app = invariant_after_window_app () in
+  let clustering = Kernel_ir.Cluster.of_partition app [ 1; 1; 1; 1; 1 ] in
+  let ctx = Sched.Sched_ctx.make app clustering in
+  let config = Morphosys.Config.m1 ~fb_set_size:512 in
+  let r =
+    match Complete_data_scheduler.run_full ~retention:true ctx config with
+    | Ok r -> r
+    | Error d -> Alcotest.fail (Diag.to_string d)
+  in
+  let t = Kernel_ir.Application.data_by_name app "t" in
+  let name (c : Sharing.t) = (Sharing.data c).Data.name in
+  Alcotest.(check (list (pair string string)))
+    "t kept in set B only"
+    [ ("w", Fb.set_to_string Fb.Set_a); ("t", Fb.set_to_string Fb.Set_b) ]
+    (List.map
+       (fun (c : Sharing.t) -> (name c, Fb.set_to_string c.Sharing.set))
+       r.retention.Retention.retained);
+  let schedule = r.Complete_data_scheduler.schedule in
+  let rounds = Sched.Schedule.rounds schedule in
+  Alcotest.(check bool) "several rounds" true (rounds >= 2);
+  let selection =
+    Oracle.Complete_data_scheduler.selection app clustering r.retention
+  in
+  let has_t = List.exists (fun (d : Data.t) -> d.Data.id = t.Data.id) in
+  Alcotest.(check bool) "cluster 0 loads t on round 0" true
+    (has_t selection.first_loads.(0));
+  Alcotest.(check bool) "cluster 0 loads t on later rounds" true
+    (has_t selection.loads.(0));
+  Alcotest.(check bool) "cluster 1 loads t on round 0 only" false
+    (has_t selection.loads.(1));
+  (* Walk the schedule: exactly one set-A load of t precedes each of
+     cluster 0's computations (no other set-A cluster reads t). *)
+  let pending = ref 0 and served = ref 0 in
+  List.iter
+    (fun (step : Sched.Schedule.step) ->
+      (match step.compute with
+      | Some { cluster; round; _ } when cluster.Kernel_ir.Cluster.id = 0 ->
+        Alcotest.(check int)
+          (Printf.sprintf "t loaded for cluster 0, round %d" round)
+          1 !pending;
+        pending := 0;
+        incr served
+      | _ -> ());
+      List.iter
+        (fun (x : Morphosys.Dma.t) ->
+          match x.kind with
+          | Morphosys.Dma.Data { set = Fb.Set_a; direction = Load; data; _ }
+            when data = t.Data.id ->
+            incr pending
+          | _ -> ())
+        step.dma)
+    schedule.Sched.Schedule.steps;
+  Alcotest.(check int) "cluster 0 runs every round" rounds !served;
+  Alcotest.(check bool) "same schedule as the reference" true
+    (Result.map
+       (fun r -> r.Complete_data_scheduler.schedule)
+       (Oracle.Complete_data_scheduler.schedule_reference config app
+          clustering)
+    = Ok schedule)
+
+let tests =
+  (fst tests, snd tests @ [
+    Alcotest.test_case "invariant table reloaded outside retention" `Quick
+      test_invariant_reloaded_outside_retention;
+  ])

@@ -55,6 +55,78 @@ let test_odd_cluster_count_stalls_at_wraparound () =
     (* and still everything validates *)
     Msim.Validate.check_exn s
 
+(* Three singleton clusters (sets A B A) whose contexts cannot stay in a
+   128-word CM, run at RF 1 over three rounds. At every round wrap-around
+   cluster 2 computes on set A while cluster 0's next data waits for set
+   A; its contexts go to the CM, so they still load during cluster 2's
+   computation and the stall step moves data only. *)
+let test_contexts_overlap_at_wraparound () =
+  let app =
+    Kernel_ir.Builder.(
+      create "ctxwrap" ~iterations:3
+      |> kernel "k0" ~contexts:64 ~cycles:50
+      |> kernel "k1" ~contexts:64 ~cycles:50
+      |> kernel "k2" ~contexts:64 ~cycles:50
+      |> input "d" ~size:16 ~consumers:[ "k0"; "k1"; "k2" ]
+      |> final "o" ~size:8 ~producer:"k2"
+      |> build)
+  in
+  let clustering = Kernel_ir.Cluster.singleton_per_kernel app in
+  let config = Morphosys.Config.make ~fb_set_size:1024 ~cm_capacity:128 () in
+  let analysis = Kernel_ir.Analysis.make app clustering in
+  let ctx_plan =
+    Result.get_ok (Sched.Context_scheduler.plan_of_analysis config analysis)
+  in
+  Alcotest.(check (list int)) "no cluster pinned" []
+    ctx_plan.Sched.Context_scheduler.pinned;
+  let s =
+    Sched.Step_builder.build config analysis ~rf:1 ~ctx_plan
+      ~selection:(Sched.Data_scheduler.selection analysis)
+      ~scheduler:"x"
+  in
+  Alcotest.(check int) "three rounds" 3 (Schedule.rounds s);
+  let loads_context cluster (step : Schedule.step) =
+    List.exists
+      (fun (tr : Dma.t) -> tr.Dma.kind = Dma.Context { cluster })
+      step.Schedule.dma
+  in
+  let computes =
+    List.filter_map
+      (fun (step : Schedule.step) ->
+        Option.map (fun c -> (c, step)) step.Schedule.compute)
+      s.Schedule.steps
+  in
+  let wraps = ref 0 in
+  List.iter
+    (fun ((c : Schedule.computation), step) ->
+      if c.Schedule.cluster.Kernel_ir.Cluster.id = 2 && c.Schedule.round < 2
+      then (
+        incr wraps;
+        Alcotest.(check bool)
+          (Printf.sprintf "round %d: cluster 0's contexts overlap cluster 2"
+             (c.Schedule.round + 1))
+          true (loads_context 0 step)))
+    computes;
+  Alcotest.(check int) "two wrap-arounds" 2 !wraps;
+  let stalls =
+    List.filter
+      (fun (step : Schedule.step) -> step.Schedule.note = "set conflict stall")
+      s.Schedule.steps
+  in
+  (* per wrap-around: cluster 0's loads wait out cluster 2, then cluster
+     2's store waits out cluster 0 *)
+  Alcotest.(check int) "two stalls per wrap-around" 4 (List.length stalls);
+  List.iter
+    (fun (step : Schedule.step) ->
+      Alcotest.(check bool) "stall moves data only" true
+        (step.Schedule.dma <> []
+        && List.for_all
+             (fun (tr : Dma.t) ->
+               match tr.Dma.kind with Dma.Data _ -> true | _ -> false)
+             step.Schedule.dma))
+    stalls;
+  Msim.Validate.check_exn s
+
 let test_overlap_legality_in_all_steps () =
   let app = Fixtures.same_set () in
   let clustering = Fixtures.same_set_clustering app in
@@ -194,6 +266,8 @@ let tests =
         test_even_cluster_count_has_no_stalls;
       Alcotest.test_case "odd clusters: wraparound stalls" `Quick
         test_odd_cluster_count_stalls_at_wraparound;
+      Alcotest.test_case "contexts overlap the wrap-around" `Quick
+        test_contexts_overlap_at_wraparound;
       Alcotest.test_case "overlap legality" `Quick
         test_overlap_legality_in_all_steps;
       Alcotest.test_case "rf validation" `Quick test_rf_validation;
